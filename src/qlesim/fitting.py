@@ -56,6 +56,9 @@ def damped_least_squares(fn, x, y, p0, model_name="fit",
     gradient infinity norm below 1e-12; otherwise raises FitError carrying the
     best result seen.  Parameter uncertainties come from the local curvature,
     sigma_i = sqrt(s^2 [ (J^T J)^-1 ]_ii) with s^2 the residual variance.
+    The Jacobian columns are scaled to unit norm before the inversion, so
+    parameters on very different scales do not lose their variance to the
+    pseudo-inverse cutoff.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -114,7 +117,10 @@ def damped_least_squares(fn, x, y, p0, model_name="fit",
 
     jac = _jacobian(fn, x, p, f)
     dof = max(len(y) - len(p), 1)
-    cov = (cost / dof) * np.linalg.pinv(jac.T @ jac)
+    scale = np.linalg.norm(jac, axis=0)
+    scale[scale == 0] = 1.0
+    unit = jac / scale
+    cov = (cost / dof) * np.linalg.pinv(unit.T @ unit) / np.outer(scale, scale)
     sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     result = FitResult(p, sigma, math.sqrt(cost), converged, iterations, model_name)
     if not converged:

@@ -84,6 +84,19 @@ def test_uncertainties_are_nonnegative_and_scale_with_noise():
     assert abs(result.params[1] - 3.0) < 4 * result.uncertainties[1]
 
 
+def test_uncertainties_do_not_depend_on_the_units_of_y():
+    # T1 in seconds against field in gauss: the Jacobian columns span ~20
+    # orders of magnitude, which must not shrink the exponent's uncertainty
+    x = np.geomspace(500.0, 3700.0, 8)
+    rng = rng_stream(14, "sigma-units")
+    y = power_function_model(x, (2.5e-10, -2.0, 0.0)) * (1.0 + 1e-4 * rng.standard_normal(8))
+    seconds = fit_power_function(x, y)
+    micros = fit_power_function(x, y * 1e6)
+    assert seconds.uncertainties[1] == pytest.approx(micros.uncertainties[1], rel=1e-3)
+    np.testing.assert_allclose(seconds.uncertainties[[0, 2]] * 1e6,
+                               micros.uncertainties[[0, 2]], rtol=1e-3)
+
+
 def test_fit_error_carries_best_result():
     x = np.linspace(0.0, 10.0, 30)
     rng = rng_stream(13, "fit-error")
