@@ -99,7 +99,6 @@ _SENSOR_FIELDS = {
     "t2_star": "time",
     "t2_hahn": "time",
     "t2_xy8_sat": "time",
-    "nv_density_ppm": None,
     "n_density_ppm": None,
     "hyperfine_splitting": "frequency",
 }
@@ -329,8 +328,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     electron_kw = _parse_section(raw.get("electron_t2"), _ELECTRON_T2_FIELDS, "electron_t2")
     try:
         electron = ElectronCoherenceModel(
-            t2_hahn=sensor.t2_hahn, t2_xy8_sat=sensor.t2_xy8_sat,
-            n_density_ppm=sensor.n_density_ppm, **electron_kw)
+            t2_hahn=sensor.t2_hahn, t2_xy8_sat=sensor.t2_xy8_sat, **electron_kw)
     except DomainError as exc:
         raise ConfigError(f"electron_t2: {exc}") from exc
 

@@ -87,7 +87,6 @@ class ElectronCoherenceModel:
     scaling_exponent: float = 2.0 / 3.0
     droid_unbounded: bool = True
     decay_stretch: float = 1.0   # stretch exponent of the coherence envelope
-    n_density_ppm: float = 14.0
 
     def __post_init__(self):
         if self.t2_hahn <= 0 or self.t2_xy8_sat <= 0:
@@ -96,8 +95,6 @@ class ElectronCoherenceModel:
             raise DomainError("scaling_exponent must be nonnegative")
         if not 0.0 < self.decay_stretch <= 2.0:
             raise DomainError("decay_stretch must lie in (0, 2]")
-        if self.n_density_ppm <= 0:
-            raise DomainError("n_density_ppm must be positive")
 
 
 def electron_t2(model: ElectronCoherenceModel, family: str, n_pulses: int) -> float:

@@ -1,6 +1,7 @@
 """Physical constants and the parameter set describing the NV ensemble sensor."""
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
@@ -64,11 +65,13 @@ class SensorEnsembleParams:
     t2_star: float = 600e-9
     t2_hahn: float = 14.5e-6
     t2_xy8_sat: float = 28e-6
-    nv_density_ppm: float = 2.3
     n_density_ppm: float = 14.0
     hyperfine_splitting: float = N15_HYPERFINE_HZ  # Hz
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise DomainError(f"{f.name} must be finite")
         for name in ("t_op", "t_swap", "t_qlr", "t2_star", "t2_hahn", "t2_xy8_sat"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
@@ -79,7 +82,7 @@ class SensorEnsembleParams:
         if not 0.0 < self.contrast_c0 <= 1.0:
             raise DomainError("contrast_c0 must lie in (0, 1]")
         for name in ("bias_field", "laser_power", "photons_per_readout",
-                     "nv_density_ppm", "n_density_ppm", "hyperfine_splitting"):
+                     "n_density_ppm", "hyperfine_splitting"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
         if self.t_qlr < self.t_op:

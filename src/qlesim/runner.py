@@ -32,8 +32,9 @@ from .params import SensorEnsembleParams
 from .rng import rng_stream
 from .sequences import (ACSignal, DROID60, XY8, accumulated_phase, build_droid60,
                         build_xy8, toggling_function)
-from .state import (apply_cnot_e_given_n, apply_optical_pulse, apply_sensing_phase,
-                    apply_swap, from_populations, initial_state)
+from .state import (ELECTRON_EXCESS, INITIAL_POPULATIONS, apply_swap,
+                    cnot_e_given_n_map, initial_state, optical_map, sensing_map,
+                    swap_map)
 
 DEFAULT_OUT_DIR_ENV = "QLESIM_OUT_DIR"
 
@@ -112,6 +113,13 @@ def _readout_sigma(sensor: SensorEnsembleParams) -> float:
     return sensor.contrast_c0 / math.sqrt(sensor.photons_per_readout)
 
 
+def _averages(options) -> int:
+    averages = options["averages"]
+    if averages < 1:
+        raise ConfigError(f"options.averages must be at least 1, got {averages}")
+    return averages
+
+
 # ----------------------------------------------------------------- scenarios
 
 def _run_odmr_swap(config, writer, threads):
@@ -122,7 +130,7 @@ def _run_odmr_swap(config, writer, threads):
     lines = (-0.5 * sensor.hyperfine_splitting, +0.5 * sensor.hyperfine_splitting)
     swapped = apply_swap(initial_state(), sensor)
     states = {"no_swap": initial_state(), "swap": swapped}
-    sigma = _readout_sigma(sensor)
+    sigma = _readout_sigma(sensor) / math.sqrt(_averages(opts))
     cols = {"detuning_hz": [], "series": [], "contrast": []}
     for name, state in states.items():
         p = state.populations()
@@ -133,7 +141,7 @@ def _run_odmr_swap(config, writer, threads):
                       for d, f in zip(depth, lines))
         rng = rng_stream(config.seed, "odmr_swap", name)
         sample = (sensor.contrast_c0 * profile
-                  + sigma / math.sqrt(opts["averages"]) * rng.standard_normal(len(detuning)))
+                  + sigma * rng.standard_normal(len(detuning)))
         cols["detuning_hz"].extend(detuning)
         cols["series"].extend([name] * len(detuning))
         cols["contrast"].extend(sample)
@@ -147,27 +155,22 @@ def _decay_curve(config, t1, durations, rng, averages):
     baseline-subtracted contrast samples."""
     sensor = config.sensor
     beta = config.nuclear_t1.stretch_beta
-    gate = math.sqrt(sensor.swap_fidelity)
     # 5 t_op of reset light leaves <0.1% residual electron polarization
-    prepared = apply_optical_pulse(apply_swap(initial_state(), sensor),
-                                   5.0 * sensor.t_op, sensor, t1, beta)
-    baseline_state = apply_cnot_e_given_n(
-        apply_optical_pulse(prepared, 60.0 * t1, sensor, t1, beta), gate)
-    baseline = sensor.contrast_c0 * baseline_state.electron_excess()
-    means = np.empty(len(durations))
-    for i, duration in enumerate(durations):
-        probed = apply_cnot_e_given_n(
-            apply_optical_pulse(prepared, duration, sensor, t1, beta), gate)
-        means[i] = sensor.contrast_c0 * probed.electron_excess()
+    prepared = (optical_map(5.0 * sensor.t_op, sensor, t1, beta) @ swap_map(sensor)
+                @ INITIAL_POPULATIONS)
+    # every illumination time at once, with 60 T1 (memory gone) as the baseline
+    probes = (cnot_e_given_n_map(math.sqrt(sensor.swap_fidelity))
+              @ optical_map(np.append(durations, 60.0 * t1), sensor, t1, beta))
+    means = sensor.contrast_c0 * ((probes @ prepared) @ ELECTRON_EXCESS)
     noise = _readout_sigma(sensor) / math.sqrt(averages)
-    return means - baseline + noise * rng.standard_normal(len(durations))
+    return means[:-1] - means[-1] + noise * rng.standard_normal(len(durations))
 
 
 def _run_t1_sweep(config, writer, threads, axis_name, axis_values, t1_of):
     opts = config.options
     n_durations = opts["n_durations"]
     span = opts["duration_span_t1"]
-    averages = opts["averages"]
+    averages = _averages(opts)
 
     def one_point(i, value):
         t1 = t1_of(value)
@@ -255,30 +258,16 @@ def _run_qle_snr_vs_n(config, writer, threads):
     return {"t1_s": t1, "enhancement_final": float(enhancement[-1])}
 
 
-def _cycle_maps(config, t1):
-    """Population transfer matrices of one readout cycle, extracted from the
-    state operations themselves (the cycle is linear in the populations)."""
-    sensor = config.sensor
-    beta = config.nuclear_t1.stretch_beta
-    gate = math.sqrt(sensor.swap_fidelity)
-    basis = [from_populations(np.eye(4)[j]) for j in range(4)]
-    cnot = np.column_stack([apply_cnot_e_given_n(b, gate).populations() for b in basis])
-    optical = np.column_stack([
-        apply_optical_pulse(b, sensor.t_op, sensor, t1, beta).populations()
-        for b in basis])
-    return cnot, optical
-
-
 def _qlr_means(config, start_populations, n_cycles, t1):
     """Per-cycle readout means for a batch of start states (rows)."""
     sensor = config.sensor
-    cnot, optical = _cycle_maps(config, t1)
-    sign = np.array([1.0, 1.0, -1.0, -1.0])
+    cnot = cnot_e_given_n_map(math.sqrt(sensor.swap_fidelity))
+    optical = optical_map(sensor.t_op, sensor, t1, config.nuclear_t1.stretch_beta)
     populations = np.array(start_populations, dtype=float)
     means = np.empty((len(populations), n_cycles))
     for k in range(n_cycles):
         after_gate = populations @ cnot.T
-        means[:, k] = sensor.contrast_c0 * (after_gate @ sign)
+        means[:, k] = sensor.contrast_c0 * (after_gate @ ELECTRON_EXCESS)
         populations = after_gate @ optical.T
     return means
 
@@ -303,15 +292,10 @@ def _run_correlation_threetone(config, writer, threads):
     # correlated readout: first block stored along z, second block read out
     excess = weight ** 2 * math.sin(phi1) * np.sin(phi2)
 
-    starts = [apply_swap(apply_sensing_phase(initial_state(),
-                                             0.0 if e >= 0 else math.pi, abs(e)),
-                         sensor).populations()
-              for e in excess]
     # two reference orbits (stored excess 0 and 1) pin the per-cycle offset
     # and signal amplitude of the readout train
-    for reference_excess in (0.0, 1.0):
-        starts.append(apply_swap(apply_sensing_phase(
-            initial_state(), math.acos(reference_excess), 1.0), sensor).populations())
+    stored = np.append(excess, [0.0, 1.0])
+    starts = swap_map(sensor) @ sensing_map(stored) @ INITIAL_POPULATIONS
 
     t1 = nuclear_t1_vs_field(config.nuclear_t1, sensor.bias_field)
     n_cycles = opts["n_readouts"]

@@ -63,3 +63,23 @@ def test_threads_flag_accepted(tmp_path):
                  "--threads", "4", "--seed", "2"])
     assert code == 0
     assert (tmp_path / "nuclear_t1_field_sweep_fits.csv").exists()
+
+
+@pytest.mark.parametrize("scenario, section", [
+    ("eta_map", "sensor: {t_qlr: .nan}"),
+    ("density_projection", "sensor: {bias_field: .inf}"),
+    ("density_projection", "sensor: {bias_field: -.inf}"),
+    ("odmr_swap", "sensor: {photons_per_readout: .nan}"),
+    ("correlation_threetone", "sensor: {t_op: .nan}"),
+    ("nuclear_t1_field_sweep", "options: {averages: 0}"),
+    ("odmr_swap", "options: {averages: 0}"),
+])
+def test_bad_inputs_exit_2_with_config_error(tmp_path, capsys, scenario, section):
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(f"scenario: {scenario}\n{section}\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code = main(["run", str(config_path), "--out-dir", str(out_dir)])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"]["type"] == "ConfigError"
+    assert not out_dir.exists() or not any(out_dir.iterdir())

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -54,3 +55,10 @@ def test_sensor_param_validation(kwargs):
 def test_t_qlr_longer_than_t_op_is_fine():
     p = SensorEnsembleParams(t_qlr=3e-3, t_op=3e-6)
     assert p.t_qlr == 3e-3
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(SensorEnsembleParams)])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_sensor_params_must_be_finite(name, value):
+    with pytest.raises(DomainError, match="finite"):
+        SensorEnsembleParams(**{name: value})

@@ -9,9 +9,9 @@ from qlesim import default_config, run_scenario
 from qlesim.config import default_config as make_config
 from qlesim.errors import DomainError
 from qlesim.noise import nuclear_t1_vs_field
-from qlesim.runner import _qlr_means
-from qlesim.state import (apply_cnot_e_given_n, apply_optical_pulse,
-                          from_populations)
+from qlesim.runner import _decay_curve, _qlr_means
+from qlesim.state import (apply_cnot_e_given_n, apply_optical_pulse, apply_swap,
+                          from_populations, initial_state)
 
 
 def read_csv(path):
@@ -221,3 +221,28 @@ def test_vectorized_qlr_matches_op_by_op_loop():
             mean = sensor.contrast_c0 * state.electron_excess()
             assert row[k] == pytest.approx(mean, abs=1e-14)
             state = apply_optical_pulse(state, sensor.t_op, sensor, t1, beta)
+
+
+class _Noiseless:
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def test_batched_decay_curve_matches_op_by_op_loop():
+    config = default_config("nuclear_t1_field_sweep", seed=0)
+    sensor = config.sensor
+    t1 = nuclear_t1_vs_field(config.nuclear_t1, 1179.0)
+    beta = config.nuclear_t1.stretch_beta
+    gate = math.sqrt(sensor.swap_fidelity)
+    durations = np.linspace(0.0, 3.0 * t1, 20)
+    fast = _decay_curve(config, t1, durations, _Noiseless(), averages=1)
+
+    def contrast(duration):
+        state = apply_optical_pulse(prepared, duration, sensor, t1, beta)
+        return sensor.contrast_c0 * apply_cnot_e_given_n(state, gate).electron_excess()
+
+    prepared = apply_optical_pulse(apply_swap(initial_state(), sensor),
+                                   5.0 * sensor.t_op, sensor, t1, beta)
+    baseline = contrast(60.0 * t1)
+    for duration, value in zip(durations, fast):
+        assert value == pytest.approx(contrast(duration) - baseline, abs=1e-15)
