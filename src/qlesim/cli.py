@@ -8,9 +8,9 @@ import json
 import sys
 
 from . import __version__
-from .config import SCENARIOS, default_config, load_config
+from .config import default_config, load_config
 from .errors import ConfigError, QleError
-from .runner import DEFAULT_OUT_DIR_ENV, run_scenario
+from .runner import DEFAULT_OUT_DIR_ENV, SCENARIOS, run_scenario
 
 
 def _add_common_flags(parser):
@@ -35,9 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path to a YAML/JSON config document")
     _add_common_flags(run)
 
-    for scenario in SCENARIOS:
-        each = sub.add_parser(scenario.replace("_", "-"),
-                              help=f"run the {scenario} scenario with defaults")
+    for name, scenario in SCENARIOS.items():
+        each = sub.add_parser(name.replace("_", "-"), help=scenario.run.__doc__)
         _add_common_flags(each)
     return parser
 

@@ -14,18 +14,8 @@ import yaml
 from .errors import ConfigError, DomainError
 from .noise import ElectronCoherenceModel, NuclearT1Model
 from .params import PhysicalConstants, SensorEnsembleParams
+from .runner import SCENARIOS
 from .sequences import ACSignal
-
-SCENARIOS = (
-    "odmr_swap",
-    "nuclear_t1_field_sweep",
-    "nuclear_t1_laser_sweep",
-    "qle_snr_vs_n",
-    "correlation_threetone",
-    "sensitivity_vs_duration",
-    "eta_map",
-    "density_projection",
-)
 
 FORMATS = ("csv", "json")
 
@@ -44,7 +34,14 @@ _QUANTITY_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([a-zA-Zµ]+)\s*$")
 
 
 def parse_quantity(value, dimension, field_name):
-    """Normalize a number or unit-suffixed string to the dimension's base unit."""
+    """Normalize a finite number or unit-suffixed string to the dimension's base unit."""
+    number = _to_base_unit(value, dimension, field_name)
+    if not math.isfinite(number):
+        raise ConfigError(f"{field_name} must be finite, got {value!r}")
+    return number
+
+
+def _to_base_unit(value, dimension, field_name):
     if isinstance(value, bool):
         raise ConfigError(f"{field_name}: expected a number, got a boolean")
     if isinstance(value, (int, float)):
@@ -97,8 +94,6 @@ _SENSOR_FIELDS = {
     "t_swap": "time",
     "t_qlr": "time",
     "t2_star": "time",
-    "t2_hahn": "time",
-    "t2_xy8_sat": "time",
     "n_density_ppm": None,
     "hyperfine_splitting": "frequency",
 }
@@ -116,62 +111,12 @@ _NUCLEAR_T1_FIELDS = {
 }
 
 _ELECTRON_T2_FIELDS = {
+    "t2_hahn": "time",
+    "t2_xy8_sat": "time",
     "scaling_exponent": None,
     "droid_unbounded": "bool",
     "decay_stretch": None,
 }
-
-# per-scenario options: name -> (kind, default); kind is a dimension name,
-# "int", "float", "bool", or "list:<kind>"
-OPTION_SCHEMAS = {
-    "odmr_swap": {
-        "freq_span": ("frequency", 8.0e6),
-        "n_freq": ("int", 401),
-        "averages": ("int", 200),
-    },
-    "nuclear_t1_field_sweep": {
-        "fields": ("list:gauss", [500.0, 666.0, 886.0, 1179.0, 1569.0, 2088.0, 2779.0, 3700.0]),
-        "n_durations": ("int", 20),
-        "duration_span_t1": ("float", 3.0),
-        "averages": ("int", 300),
-    },
-    "nuclear_t1_laser_sweep": {
-        "powers": ("list:milliwatt", [20.0, 27.0, 36.5, 49.3, 66.6, 90.0, 121.6, 164.3, 222.0, 300.0]),
-        "n_durations": ("int", 20),
-        "duration_span_t1": ("float", 3.0),
-        "averages": ("int", 300),
-    },
-    "qle_snr_vs_n": {
-        "n_readouts": ("int", 2000),
-        "amplitude_scale": ("float", 1.0),
-    },
-    "correlation_threetone": {
-        "repetitions": ("int", 6),
-        "tau": ("time", 0.5e-6),
-        "t_corr_max": ("time", 1.5e-3),
-        "n_points": ("int", 3072),
-        "n_readouts": ("int", 500),
-    },
-    "sensitivity_vs_duration": {
-        "tau": ("time", 0.5e-6),
-        "max_repetitions": ("int", 12),
-        "families": ("list:str", ["XY8", "DROID60"]),
-    },
-    "eta_map": {
-        "n_min": ("int", 1),
-        "n_max": ("int", 2000),
-        "n_points": ("int", 50),
-        "t_sense_min": ("time", 10e-6),
-        "t_sense_max": ("time", 1.0e-3),
-        "t_points": ("int", 50),
-        "base_ratio": ("float", 1.0),
-    },
-    "density_projection": {
-        "densities_ppm": ("list:float", [14.0, 7.0, 3.5, 2.0, 1.0, 0.8, 0.5]),
-        "xy8_optimal_ref": ("time", 24e-6),
-    },
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -220,40 +165,49 @@ def _parse_section(raw, schema, section):
     return parsed
 
 
-def _parse_option(value, kind, field_name):
-    if kind == "int":
-        return _parse_int(value, field_name)
-    if kind == "float":
-        return float(parse_quantity(value, None, field_name))
-    if kind == "bool":
-        return _parse_bool(value, field_name)
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"{field_name}: expected a string, got {value!r}")
-        return value
-    if kind.startswith("list:"):
+def _parse_option(value, option, field_name):
+    """Parse one option value and check it against the option's bounds."""
+    if option.min_len is not None:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{field_name}: expected a list, got {value!r}")
-        inner = kind.split(":", 1)[1]
-        return [_parse_option(v, inner, f"{field_name}[{i}]") for i, v in enumerate(value)]
-    return parse_quantity(value, kind, field_name)
+        values = [_parse_scalar(v, option, f"{field_name}[{i}]") for i, v in enumerate(value)]
+        if len(set(values)) < option.min_len:
+            raise ConfigError(f"{field_name} needs at least {option.min_len} distinct "
+                              f"entries, got {len(set(values))}")
+        return values
+    return _parse_scalar(value, option, field_name)
+
+
+def _parse_scalar(value, option, field_name):
+    if option.kind == "str":
+        if value not in option.choices:
+            raise ConfigError(f"{field_name}: expected one of {list(option.choices)}, "
+                              f"got {value!r}")
+        return value
+    if option.kind == "int":
+        number = _parse_int(value, field_name)
+        if number < option.low:
+            raise ConfigError(f"{field_name} must be at least {option.low}, got {number}")
+        return number
+    dimension = None if option.kind == "float" else option.kind
+    number = parse_quantity(value, dimension, field_name)
+    if not number > option.low:
+        raise ConfigError(f"{field_name} must be greater than {option.low:g}, got {number:g}")
+    return number
 
 
 def _parse_options(raw, scenario):
-    schema = OPTION_SCHEMAS[scenario]
-    options = {name: (list(default) if isinstance(default, list) else default)
-               for name, (_, default) in schema.items()}
-    if raw is None:
-        return options
+    schema = SCENARIOS[scenario].options
+    raw = {} if raw is None else raw
     if not isinstance(raw, dict):
         raise ConfigError("section 'options' must be a mapping")
-    for key, value in raw.items():
+    for key in raw:
         if key not in schema:
             known = ", ".join(sorted(schema))
             raise ConfigError(f"unknown option '{key}' for scenario '{scenario}' "
                               f"(known options: {known})")
-        options[key] = _parse_option(value, schema[key][0], f"options.{key}")
-    return options
+    return {name: _parse_option(raw.get(name, option.default), option, f"options.{name}")
+            for name, option in schema.items()}
 
 
 def _parse_signal(raw):
@@ -327,8 +281,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     electron_kw = _parse_section(raw.get("electron_t2"), _ELECTRON_T2_FIELDS, "electron_t2")
     try:
-        electron = ElectronCoherenceModel(
-            t2_hahn=sensor.t2_hahn, t2_xy8_sat=sensor.t2_xy8_sat, **electron_kw)
+        electron = ElectronCoherenceModel(**electron_kw)
     except DomainError as exc:
         raise ConfigError(f"electron_t2: {exc}") from exc
 
@@ -362,9 +315,4 @@ def load_config(path) -> ExperimentConfig:
 
 def default_config(scenario: str, seed: int = 0, **overrides) -> ExperimentConfig:
     """Config with all defaults for a scenario; ``overrides`` patch options."""
-    config = config_from_dict({"scenario": scenario, "seed": seed})
-    for key, value in overrides.items():
-        if key not in config.options:
-            raise ConfigError(f"unknown option '{key}' for scenario '{scenario}'")
-        config.options[key] = value
-    return config
+    return config_from_dict({"scenario": scenario, "seed": seed, "options": overrides})

@@ -1,5 +1,6 @@
 """Phenomenological relaxation and decoherence models."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,8 @@ class ElectronCoherenceModel:
     decay_stretch: float = 1.0   # stretch exponent of the coherence envelope
 
     def __post_init__(self):
-        if self.t2_hahn <= 0 or self.t2_xy8_sat <= 0:
-            raise DomainError("coherence times must be positive")
+        if not (0.0 < self.t2_hahn < math.inf and 0.0 < self.t2_xy8_sat < math.inf):
+            raise DomainError("coherence times must be positive and finite")
         if self.scaling_exponent < 0:
             raise DomainError("scaling_exponent must be nonnegative")
         if not 0.0 < self.decay_stretch <= 2.0:

@@ -63,8 +63,6 @@ class SensorEnsembleParams:
     t_swap: float = 16.5e-6               # CNOT pair encoding the memory
     t_qlr: float = 3.0e-6                 # one quantum-logic readout cycle
     t2_star: float = 600e-9
-    t2_hahn: float = 14.5e-6
-    t2_xy8_sat: float = 28e-6
     n_density_ppm: float = 14.0
     hyperfine_splitting: float = N15_HYPERFINE_HZ  # Hz
 
@@ -72,7 +70,7 @@ class SensorEnsembleParams:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise DomainError(f"{f.name} must be finite")
-        for name in ("t_op", "t_swap", "t_qlr", "t2_star", "t2_hahn", "t2_xy8_sat"):
+        for name in ("t_op", "t_swap", "t_qlr", "t2_star"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
         for name in ("swap_fidelity", "repolarization_fraction"):

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +23,7 @@ from .analysis import (EnhancementMap, ReadoutSeries, TimingBudget, ac_sensitivi
                        dominant_peaks, eta_map, exponential_snr_curve,
                        matched_reference_count, optimal_snr, periodogram,
                        snr_enhancement)
-from .config import ExperimentConfig
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .fitting import fit_power_function, fit_stretched_exponential
 from .noise import (electron_t2, nuclear_t1_vs_field, nuclear_t1_vs_laser,
                     project_t2_for_density, stretched_exp)
@@ -113,16 +113,10 @@ def _readout_sigma(sensor: SensorEnsembleParams) -> float:
     return sensor.contrast_c0 / math.sqrt(sensor.photons_per_readout)
 
 
-def _averages(options) -> int:
-    averages = options["averages"]
-    if averages < 1:
-        raise ConfigError(f"options.averages must be at least 1, got {averages}")
-    return averages
-
-
 # ----------------------------------------------------------------- scenarios
 
 def _run_odmr_swap(config, writer, threads):
+    """ODMR spectra of both hyperfine lines, with and without the memory swap."""
     sensor = config.sensor
     opts = config.options
     detuning = np.linspace(-opts["freq_span"] / 2, opts["freq_span"] / 2, opts["n_freq"])
@@ -130,7 +124,7 @@ def _run_odmr_swap(config, writer, threads):
     lines = (-0.5 * sensor.hyperfine_splitting, +0.5 * sensor.hyperfine_splitting)
     swapped = apply_swap(initial_state(), sensor)
     states = {"no_swap": initial_state(), "swap": swapped}
-    sigma = _readout_sigma(sensor) / math.sqrt(_averages(opts))
+    sigma = _readout_sigma(sensor) / math.sqrt(opts["averages"])
     cols = {"detuning_hz": [], "series": [], "contrast": []}
     for name, state in states.items():
         p = state.populations()
@@ -170,7 +164,7 @@ def _run_t1_sweep(config, writer, threads, axis_name, axis_values, t1_of):
     opts = config.options
     n_durations = opts["n_durations"]
     span = opts["duration_span_t1"]
-    averages = _averages(opts)
+    averages = opts["averages"]
 
     def one_point(i, value):
         t1 = t1_of(value)
@@ -202,6 +196,7 @@ def _run_t1_sweep(config, writer, threads, axis_name, axis_values, t1_of):
 
 
 def _run_nuclear_t1_field_sweep(config, writer, threads):
+    """Nuclear-memory T1 versus bias field, with a power-law fit of the exponent."""
     fields = config.options["fields"]
     _, fit_cols = _run_t1_sweep(
         config, writer, threads, "field_gauss", fields,
@@ -219,6 +214,7 @@ def _run_nuclear_t1_field_sweep(config, writer, threads):
 
 
 def _run_nuclear_t1_laser_sweep(config, writer, threads):
+    """Nuclear-memory T1 versus laser power, with a power-function fit."""
     powers = config.options["powers"]
     _, fit_cols = _run_t1_sweep(
         config, writer, threads, "power_mw", powers,
@@ -239,6 +235,7 @@ def _run_nuclear_t1_laser_sweep(config, writer, threads):
 
 
 def _run_qle_snr_vs_n(config, writer, threads):
+    """Optimal SNR and QLE enhancement versus the number of readouts."""
     sensor = config.sensor
     opts = config.options
     n_max = opts["n_readouts"]
@@ -273,6 +270,7 @@ def _qlr_means(config, start_populations, n_cycles, t1):
 
 
 def _run_correlation_threetone(config, writer, threads):
+    """Correlation spectroscopy of a three-tone AC field with QLE readout."""
     sensor = config.sensor
     opts = config.options
     block = build_xy8(opts["repetitions"], opts["tau"])
@@ -324,31 +322,32 @@ def _run_correlation_threetone(config, writer, threads):
         "readout": ["qle"] * len(qle_spec.power) + ["conventional"] * len(ref_spec.power),
         "power": np.concatenate([qle_spec.power, ref_spec.power]),
     })
+    # a short record may have no interior peak at all
     peak_freqs, peak_powers = dominant_peaks(qle_spec, 3)
     return {
         "tone_frequencies_hz": [t[1] for t in signal.tones],
         "peak_frequencies_hz": sorted(float(f) for f in peak_freqs),
-        "min_peak_power": float(np.min(peak_powers)),
+        "min_peak_power": float(np.min(peak_powers)) if len(peak_powers) else None,
         "median_noise_power": float(np.median(qle_spec.power[1:])),
         "frequency_resolution_hz": qle_spec.df,
     }
 
 
+_FAMILY_BUILDERS = {XY8: build_xy8, DROID60: build_droid60}
+
+
 def _run_sensitivity_vs_duration(config, writer, threads):
+    """AC sensitivity versus sensing duration for XY8 and DROID60 blocks."""
     sensor = config.sensor
     opts = config.options
     tau = opts["tau"]
     f0 = 1.0 / (2.0 * tau)
     sigma = _readout_sigma(sensor)
-    builders = {"XY8": build_xy8, "DROID60": build_droid60}
     cols = {"family": [], "repetitions": [], "n_pulses": [], "t_sense_s": [],
             "t2_s": [], "sensitivity_t_per_sqrt_hz": []}
     for family in opts["families"]:
-        if family not in builders:
-            raise ConfigError(f"unknown sequence family {family!r} "
-                              f"(choose from {sorted(builders)})")
         for repetitions in range(1, opts["max_repetitions"] + 1):
-            seq = builders[family](repetitions, tau)
+            seq = _FAMILY_BUILDERS[family](repetitions, tau)
             t2 = electron_t2(config.electron_t2, seq.family, seq.pi_pulse_count)
             coherence = stretched_exp(seq.total_duration, t2,
                                       config.electron_t2.decay_stretch)
@@ -373,6 +372,7 @@ def _run_sensitivity_vs_duration(config, writer, threads):
 
 
 def _run_eta_map(config, writer, threads):
+    """QLE efficiency eta over readout count and sensing duration."""
     sensor = config.sensor
     opts = config.options
     n_axis = np.unique(np.rint(np.linspace(opts["n_min"], opts["n_max"],
@@ -395,15 +395,16 @@ def _run_eta_map(config, writer, threads):
 
 
 def _run_density_projection(config, writer, threads):
-    sensor = config.sensor
+    """Electron T2 and the optimal XY8 window projected to other N densities."""
+    t2 = config.electron_t2
     opts = config.options
-    ref_density = sensor.n_density_ppm
+    ref_density = config.sensor.n_density_ppm
     cols = {"n_density_ppm": [], "t2_scale": [], "t2_hahn_s": [], "t2_xy8_sat_s": [],
             "optimal_xy8_t_sense_s": []}
     for density in opts["densities_ppm"]:
-        t2_hahn = project_t2_for_density(sensor.t2_hahn, ref_density, density)
-        t2_sat = project_t2_for_density(sensor.t2_xy8_sat, ref_density, density)
-        scale = t2_sat / sensor.t2_xy8_sat
+        t2_hahn = project_t2_for_density(t2.t2_hahn, ref_density, density)
+        t2_sat = project_t2_for_density(t2.t2_xy8_sat, ref_density, density)
+        scale = t2_sat / t2.t2_xy8_sat
         cols["n_density_ppm"].append(density)
         cols["t2_scale"].append(scale)
         cols["t2_hahn_s"].append(t2_hahn)
@@ -413,19 +414,90 @@ def _run_density_projection(config, writer, threads):
     return {"reference_density_ppm": ref_density}
 
 
-SCENARIO_RUNNERS = {
-    "odmr_swap": _run_odmr_swap,
-    "nuclear_t1_field_sweep": _run_nuclear_t1_field_sweep,
-    "nuclear_t1_laser_sweep": _run_nuclear_t1_laser_sweep,
-    "qle_snr_vs_n": _run_qle_snr_vs_n,
-    "correlation_threetone": _run_correlation_threetone,
-    "sensitivity_vs_duration": _run_sensitivity_vs_duration,
-    "eta_map": _run_eta_map,
-    "density_projection": _run_density_projection,
+@dataclass(frozen=True)
+class Option:
+    """One scenario option: its kind, default and lower bound.
+
+    ``kind`` is "int", "float", "str" or a unit dimension such as "time".  An
+    int must be at least ``low``, a float or quantity must exceed it, and a
+    str must be one of ``choices``.  A list option (``min_len`` set) needs at
+    least ``min_len`` distinct entries, each bounded as above.
+    """
+
+    kind: str
+    default: object
+    low: float = 0.0
+    min_len: int | None = None
+    choices: tuple = ()
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A scenario's runner and option schema; the runner's docstring is its help."""
+
+    run: Callable
+    options: dict
+
+
+# the fits need 5 points: 3 parameters plus 2 degrees of freedom
+_MIN_FIT_POINTS = 5
+
+_T1_SWEEP_OPTIONS = {
+    "n_durations": Option("int", 20, _MIN_FIT_POINTS),
+    "duration_span_t1": Option("float", 3.0),
+    "averages": Option("int", 300, 1),
+}
+
+SCENARIOS = {
+    "odmr_swap": Scenario(_run_odmr_swap, {
+        "freq_span": Option("frequency", 8.0e6),
+        "n_freq": Option("int", 401, 1),
+        "averages": Option("int", 200, 1),
+    }),
+    "nuclear_t1_field_sweep": Scenario(_run_nuclear_t1_field_sweep, {
+        "fields": Option("gauss", (500.0, 666.0, 886.0, 1179.0, 1569.0, 2088.0, 2779.0,
+                                   3700.0), min_len=_MIN_FIT_POINTS),
+        **_T1_SWEEP_OPTIONS,
+    }),
+    "nuclear_t1_laser_sweep": Scenario(_run_nuclear_t1_laser_sweep, {
+        "powers": Option("milliwatt", (20.0, 27.0, 36.5, 49.3, 66.6, 90.0, 121.6, 164.3,
+                                       222.0, 300.0), min_len=_MIN_FIT_POINTS),
+        **_T1_SWEEP_OPTIONS,
+    }),
+    "qle_snr_vs_n": Scenario(_run_qle_snr_vs_n, {
+        "n_readouts": Option("int", 2000, 1),
+        "amplitude_scale": Option("float", 1.0),
+    }),
+    "correlation_threetone": Scenario(_run_correlation_threetone, {
+        "repetitions": Option("int", 6, 1),
+        "tau": Option("time", 0.5e-6),
+        "t_corr_max": Option("time", 1.5e-3),
+        "n_points": Option("int", 3072, 2),   # a spectrum needs two samples
+        "n_readouts": Option("int", 500, 1),
+    }),
+    "sensitivity_vs_duration": Scenario(_run_sensitivity_vs_duration, {
+        "tau": Option("time", 0.5e-6),
+        "max_repetitions": Option("int", 12, 1),
+        "families": Option("str", (XY8, DROID60), min_len=1,
+                           choices=tuple(_FAMILY_BUILDERS)),
+    }),
+    "eta_map": Scenario(_run_eta_map, {
+        "n_min": Option("int", 1, 1),
+        "n_max": Option("int", 2000, 1),
+        "n_points": Option("int", 50, 1),
+        "t_sense_min": Option("time", 10e-6),
+        "t_sense_max": Option("time", 1.0e-3),
+        "t_points": Option("int", 50, 1),
+        "base_ratio": Option("float", 1.0),
+    }),
+    "density_projection": Scenario(_run_density_projection, {
+        "densities_ppm": Option("float", (14.0, 7.0, 3.5, 2.0, 1.0, 0.8, 0.5), min_len=1),
+        "xy8_optimal_ref": Option("time", 24e-6),
+    }),
 }
 
 
-def run_scenario(config: ExperimentConfig, out_dir=None, threads: int = 1) -> RunManifest:
+def run_scenario(config, out_dir=None, threads: int = 1) -> RunManifest:
     """Execute a configured scenario, write its outputs, and return the manifest.
 
     Output data files are bit-identical for identical (config, seed), whatever
@@ -434,15 +506,17 @@ def run_scenario(config: ExperimentConfig, out_dir=None, threads: int = 1) -> Ru
     (its own wall-clock field varies run to run by nature).
     """
     start = time.perf_counter()
-    if config.scenario not in SCENARIO_RUNNERS:
+    if config.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {config.scenario!r}")
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     target = Path(out_dir if out_dir is not None
                   else config.out_dir if config.out_dir is not None
                   else os.environ.get(DEFAULT_OUT_DIR_ENV, "qlesim-out"))
     target.mkdir(parents=True, exist_ok=True)
     writer = _OutputWriter(target, config.file_format)
     try:
-        extras = SCENARIO_RUNNERS[config.scenario](config, writer, max(1, int(threads)))
+        extras = SCENARIOS[config.scenario].run(config, writer, threads)
     except BaseException:
         writer.cleanup()
         raise

@@ -2,38 +2,28 @@
 
 Sequences are timed element lists.  Decoupling pi pulses are ideal
 (zero duration), so the inter-pulse free evolution is implicit in the element
-timing; a dedicated free-evolution element is used only where the gap itself
-is the controlled variable (the correlation delay).
+timing.
 """
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .params import PhysicalConstants, SensorEnsembleParams
+from .params import PhysicalConstants
 
 # sequence families
 XY8 = "XY8"
 DROID60 = "DROID60"
 HAHN = "HAHN"
-CORRELATION = "CORRELATION"
-QLE_READOUT = "QLE_READOUT"
-CUSTOM = "CUSTOM"
-FAMILIES = (XY8, DROID60, HAHN, CORRELATION, QLE_READOUT, CUSTOM)
+FAMILIES = (XY8, DROID60, HAHN)
 
 # element kinds
-MW_PI_SELECTIVE = "mw_pi_selective"
 MW_PI_BROADBAND = "mw_pi_broadband"
 MW_PI_HALF = "mw_pi_half"
-RF_PI = "rf_pi"
-OPTICAL = "optical"
-FREE_EVOLUTION = "free_evolution"
-KINDS = (MW_PI_SELECTIVE, MW_PI_BROADBAND, MW_PI_HALF, RF_PI, OPTICAL, FREE_EVOLUTION)
-
-_MW_KINDS = (MW_PI_SELECTIVE, MW_PI_BROADBAND, MW_PI_HALF, RF_PI)
+KINDS = (MW_PI_BROADBAND, MW_PI_HALF)
 
 # pi-pulse axes of one XY8 unit: X Y X Y Y X Y X
 XY8_PHASES = (0.0, math.pi / 2, 0.0, math.pi / 2, math.pi / 2, 0.0, math.pi / 2, 0.0)
@@ -45,7 +35,6 @@ class PulseElement:
     start_time: float
     duration: float = 0.0
     axis_phase: float = 0.0
-    power: float | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -87,14 +76,8 @@ class PulseSequence:
             raise DomainError("total_duration must equal the end time of the last element")
 
     def to_dict(self) -> dict:
-        elements = []
-        for e in self.elements:
-            entry = {"kind": e.kind, "start_time": e.start_time, "duration": e.duration}
-            if e.kind in _MW_KINDS:
-                entry["axis_phase"] = e.axis_phase
-            if e.power is not None:
-                entry["power"] = e.power
-            elements.append(entry)
+        elements = [{"kind": e.kind, "start_time": e.start_time, "duration": e.duration,
+                     "axis_phase": e.axis_phase} for e in self.elements]
         return {
             "family": self.family,
             "pi_pulse_count": self.pi_pulse_count,
@@ -210,52 +193,12 @@ def build_droid60(repetitions: int, tau: float, pulse_factor: float = 1.0) -> Pu
     return _dd_skeleton(n_pulses, tau, DROID60)
 
 
-def build_correlation(block: PulseSequence, t_corr: float) -> PulseSequence:
-    """Two copies of a decoupling block separated by a variable delay; readout
-    happens only after the second block."""
-    if block.family not in (XY8, DROID60):
-        raise DomainError("correlation blocks must be XY8 or DROID60 sequences")
-    if t_corr < 0:
-        raise DomainError("t_corr must be nonnegative")
-    shift = block.total_duration + t_corr
-    elements = list(block.elements)
-    elements.append(PulseElement(FREE_EVOLUTION, block.total_duration, duration=t_corr))
-    elements.extend(replace(e, start_time=e.start_time + shift) for e in block.elements)
-    total = 2.0 * block.total_duration + t_corr
-    return PulseSequence(tuple(elements), CORRELATION, 2 * block.pi_pulse_count, total)
-
-
-def build_qle_readout(n_readouts: int, params: SensorEnsembleParams) -> PulseSequence:
-    """Memory encoding plus N repetitive-readout cycles.
-
-    The selective-MW / RF gate pair spans t_swap; each readout cycle then holds
-    one selective MW pi pulse followed by the optical readout pulse inside a
-    t_qlr slot.  Each cycle's optical pulse doubles as the electron reset for
-    the next cycle, so the appended duration is exactly t_swap + N * t_qlr.
-    """
-    if n_readouts < 1:
-        raise DomainError("n_readouts must be at least 1")
-    elements = [PulseElement(MW_PI_SELECTIVE, 0.0),
-                PulseElement(RF_PI, params.t_swap)]
-    for i in range(n_readouts):
-        cycle_start = params.t_swap + i * params.t_qlr
-        elements.append(PulseElement(MW_PI_SELECTIVE, cycle_start))
-        elements.append(PulseElement(
-            OPTICAL,
-            cycle_start + (params.t_qlr - params.t_op),
-            duration=params.t_op,
-            power=params.laser_power,
-        ))
-    total = params.t_swap + n_readouts * params.t_qlr
-    return PulseSequence(tuple(elements), QLE_READOUT, n_readouts, total)
-
-
 def toggling_function(seq: PulseSequence) -> TogglingFunction:
     """Extract the +-1 toggling function of a single sensing window.
 
     The sequence must contain exactly two pi/2 markers; every broadband pi
-    pulse between them contributes one sign flip at its center.  For
-    correlation sequences apply this to the constituent block and shift it.
+    pulse between them contributes one sign flip at its center.  For a
+    correlation measurement apply this to the block and shift it.
     """
     halves = [e for e in seq.elements if e.kind == MW_PI_HALF]
     if len(halves) != 2:

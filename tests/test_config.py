@@ -100,6 +100,15 @@ def test_scenario_options_are_validated_per_scenario():
         parse_config("scenario: eta_map\noptions: {n_max: 12.5}\n")
 
 
+def test_t2_is_set_in_the_electron_t2_section():
+    config = parse_config("scenario: density_projection\n"
+                          "electron_t2: {t2_hahn: 10 us, t2_xy8_sat: 20 us}\n")
+    assert config.electron_t2.t2_hahn == pytest.approx(10e-6)
+    assert config.electron_t2.t2_xy8_sat == pytest.approx(20e-6)
+    with pytest.raises(ConfigError, match="unknown key 'sensor.t2_hahn'"):
+        parse_config("scenario: density_projection\nsensor: {t2_hahn: 10 us}\n")
+
+
 def test_constants_section():
     config = parse_config("scenario: qle_snr_vs_n\nconstants: {g: 2.003}\n")
     assert config.constants.g == 2.003

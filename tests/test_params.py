@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import pytest
 
-from qlesim import PhysicalConstants, SensorEnsembleParams
+from qlesim import ElectronCoherenceModel, PhysicalConstants, SensorEnsembleParams
 from qlesim.errors import DomainError
 
 
@@ -31,8 +31,9 @@ def test_default_sensor_params_match_operating_point():
     assert p.t_op == 3e-6
     assert p.swap_fidelity == 0.93
     assert p.t2_star == 600e-9
-    assert p.t2_hahn == 14.5e-6
-    assert p.t2_xy8_sat == 28e-6
+    t2 = ElectronCoherenceModel()
+    assert t2.t2_hahn == 14.5e-6
+    assert t2.t2_xy8_sat == 28e-6
     assert p.bias_field == 3700.0
     assert p.n_density_ppm == 14.0
 
@@ -57,8 +58,13 @@ def test_t_qlr_longer_than_t_op_is_fine():
     assert p.t_qlr == 3e-3
 
 
-@pytest.mark.parametrize("name", [f.name for f in fields(SensorEnsembleParams)])
+# the sensor's T2 anchors live in its coherence model
+SENSOR_FIELDS = ([(SensorEnsembleParams, f.name) for f in fields(SensorEnsembleParams)]
+                 + [(ElectronCoherenceModel, "t2_hahn"), (ElectronCoherenceModel, "t2_xy8_sat")])
+
+
+@pytest.mark.parametrize("model, name", SENSOR_FIELDS, ids=[name for _, name in SENSOR_FIELDS])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_sensor_params_must_be_finite(name, value):
+def test_sensor_params_must_be_finite(model, name, value):
     with pytest.raises(DomainError, match="finite"):
-        SensorEnsembleParams(**{name: value})
+        model(**{name: value})

@@ -4,17 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from qlesim import (ACSignal, PhysicalConstants, SensorEnsembleParams,
-                    accumulated_phase, b_ac_two_pi, build_correlation,
-                    build_droid60, build_hahn, build_qle_readout, build_xy8,
-                    resonant_aligned_tone, toggling_function)
+from qlesim import (ACSignal, PhysicalConstants, accumulated_phase, b_ac_two_pi,
+                    build_droid60, build_hahn, build_xy8, resonant_aligned_tone,
+                    toggling_function)
 from qlesim.errors import DomainError
-from qlesim.sequences import (MW_PI_BROADBAND, MW_PI_HALF, MW_PI_SELECTIVE,
-                              OPTICAL, RF_PI, PulseElement, PulseSequence,
-                              TogglingFunction, XY8_PHASES)
+from qlesim.sequences import (HAHN, MW_PI_BROADBAND, MW_PI_HALF, PulseElement,
+                              PulseSequence, TogglingFunction, XY8_PHASES)
 
 CONSTANTS = PhysicalConstants()
-PARAMS = SensorEnsembleParams()
 
 
 # -------------------------------------------------------------- builders
@@ -67,37 +64,6 @@ def test_hahn_echo():
     assert seq.total_duration == pytest.approx(10e-6)
 
 
-def test_correlation_durations():
-    block = build_xy8(6, 0.5e-6)
-    assert build_correlation(block, 0.0).total_duration == pytest.approx(48e-6, rel=1e-12)
-    assert build_correlation(block, 1.5e-3).total_duration == pytest.approx(1.548e-3, rel=1e-12)
-    with pytest.raises(DomainError):
-        build_correlation(block, -1e-6)
-    with pytest.raises(DomainError):
-        build_correlation(build_hahn(1e-6), 0.0)
-
-
-def test_correlation_duration_identity():
-    block = build_xy8(6, 0.5e-6)
-    base = build_correlation(block, 0.0).total_duration
-    for t_corr in (0.0, 0.1e-3, 0.5e-3, 1.0e-3, 1.5e-3):
-        total = build_correlation(block, t_corr).total_duration
-        # identity holds to the last representable bit of the total
-        assert abs((total - base) - t_corr) <= np.spacing(total)
-
-
-def test_qle_readout_timing_and_elements():
-    seq = build_qle_readout(2000, PARAMS)
-    assert seq.total_duration == pytest.approx(6016.5e-6, rel=1e-12)
-    assert len(seq.elements) == 2 + 2 * 2000
-    one = build_qle_readout(1, PARAMS)
-    assert one.total_duration == PARAMS.t_swap + PARAMS.t_qlr
-    kinds = [e.kind for e in one.elements]
-    assert kinds == [MW_PI_SELECTIVE, RF_PI, MW_PI_SELECTIVE, OPTICAL]
-    with pytest.raises(DomainError):
-        build_qle_readout(0, PARAMS)
-
-
 # ------------------------------------------------------- toggling function
 
 def test_toggling_switches_at_odd_half_multiples():
@@ -122,10 +88,14 @@ def test_switch_count_equals_pi_pulse_count(seq):
 
 
 def test_toggling_rejects_sequences_without_single_window():
+    no_markers = PulseSequence((PulseElement(MW_PI_BROADBAND, 0.5e-6),), HAHN, 1, 0.5e-6)
     with pytest.raises(DomainError):
-        toggling_function(build_qle_readout(3, PARAMS))  # no pi/2 markers
+        toggling_function(no_markers)
+    window = (PulseElement(MW_PI_HALF, 0.0), PulseElement(MW_PI_BROADBAND, 0.5e-6),
+              PulseElement(MW_PI_HALF, 1e-6))
+    second = tuple(PulseElement(e.kind, e.start_time + 2e-6) for e in window)
     with pytest.raises(DomainError):
-        toggling_function(build_correlation(build_xy8(1, 1e-6), 1e-6))  # two windows
+        toggling_function(PulseSequence(window + second, HAHN, 2, 3e-6))  # two windows
 
 
 def test_toggling_shift():
@@ -247,11 +217,11 @@ def test_sequence_validation():
     with pytest.raises(DomainError):
         PulseSequence((PulseElement(MW_PI_HALF, 0.0),), "XY8", 3, 0.0)  # not mod 8
     with pytest.raises(DomainError):
-        PulseSequence((), "CUSTOM", 0, 0.0)
-    overlapping = (PulseElement(OPTICAL, 0.0, duration=2e-6),
-                   PulseElement(OPTICAL, 1e-6, duration=2e-6))
+        PulseSequence((), HAHN, 0, 0.0)
+    overlapping = (PulseElement(MW_PI_HALF, 0.0, duration=2e-6),
+                   PulseElement(MW_PI_BROADBAND, 1e-6, duration=2e-6))
     with pytest.raises(DomainError):
-        PulseSequence(overlapping, "CUSTOM", 0, 3e-6)
+        PulseSequence(overlapping, HAHN, 1, 3e-6)
 
 
 def test_toggling_function_validation():
