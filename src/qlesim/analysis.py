@@ -46,18 +46,30 @@ class ReadoutSeries:
         return len(self.amplitudes)
 
 
-def _resolve_n(series: ReadoutSeries, up_to_n) -> int:
-    n = len(series) if up_to_n is None else int(up_to_n)
-    if not 1 <= n <= len(series):
+def _resolve_n(series: ReadoutSeries, up_to_n):
+    """N as an int, or an int array of counts, each in [1, len(series)]."""
+    if up_to_n is None:
+        return len(series)
+    n = np.asarray(up_to_n).astype(int) if np.ndim(up_to_n) else int(up_to_n)
+    if np.size(n) == 0:
+        raise DomainError("up_to_n must not be empty")
+    if not np.all((1 <= n) & (n <= len(series))):
         raise DomainError(f"up_to_n must lie in [1, {len(series)}]")
     return n
 
 
-def optimal_snr(series: ReadoutSeries, up_to_n=None) -> float:
-    """Best achievable SNR after the first N readouts, sqrt(sum A_n^2/sigma_n^2)."""
+def optimal_snr(series: ReadoutSeries, up_to_n=None):
+    """Best achievable SNR after the first N readouts, sqrt(sum A_n^2/sigma_n^2).
+
+    ``up_to_n`` is one count (float result) or an array of counts (array
+    result); either way the sums are read off one running prefix sum, so an
+    array costs O(len(series)) and equals the scalar calls bit for bit.
+    """
     n = _resolve_n(series, up_to_n)
-    ratio = series.amplitudes[:n] / series.sigmas[:n]
-    return float(np.sqrt(np.sum(ratio * ratio)))
+    top = int(np.max(n))
+    ratio = series.amplitudes[:top] / series.sigmas[:top]
+    snr = np.sqrt(np.cumsum(ratio * ratio)[n - 1])
+    return float(snr) if np.ndim(snr) == 0 else snr
 
 
 def weighted_snr(series: ReadoutSeries, weights, up_to_n=None) -> float:
@@ -65,6 +77,8 @@ def weighted_snr(series: ReadoutSeries, weights, up_to_n=None) -> float:
 
     Equals optimal_snr exactly when w_n is proportional to A_n / sigma_n^2.
     """
+    if np.ndim(up_to_n):
+        raise DomainError("weighted_snr takes a single up_to_n")
     n = _resolve_n(series, up_to_n)
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or len(w) < n:
@@ -76,8 +90,9 @@ def weighted_snr(series: ReadoutSeries, weights, up_to_n=None) -> float:
                  / np.sqrt(np.sum((w * series.sigmas[:n]) ** 2)))
 
 
-def snr_enhancement(series: ReadoutSeries, up_to_n=None) -> float:
-    """optimal_snr(N) relative to the conventional-readout reference SNR."""
+def snr_enhancement(series: ReadoutSeries, up_to_n=None):
+    """optimal_snr(N) relative to the conventional-readout reference SNR; an
+    array of counts gives an array."""
     if series.ref_amplitude == 0:
         raise DomainError("reference amplitude must be nonzero")
     return optimal_snr(series, up_to_n) / (series.ref_amplitude / series.ref_sigma)
@@ -85,7 +100,11 @@ def snr_enhancement(series: ReadoutSeries, up_to_n=None) -> float:
 
 @dataclass(frozen=True)
 class TimingBudget:
-    """Protocol timing entering the enhancement accounting (durations in s)."""
+    """Protocol timing entering the enhancement accounting (durations in s).
+
+    Fields may also be arrays that broadcast together, as in ``eta_map``; each
+    check then holds for every entry.
+    """
 
     t_sense: float
     t_swap: float
@@ -93,23 +112,23 @@ class TimingBudget:
     n_readouts: int
 
     def __post_init__(self):
-        if self.t_sense <= 0 or self.t_qlr <= 0:
+        if np.any(self.t_sense <= 0) or np.any(self.t_qlr <= 0):
             raise DomainError("t_sense and t_qlr must be positive")
-        if self.t_swap < 0:
+        if np.any(self.t_swap < 0):
             raise DomainError("t_swap must be nonnegative")
-        if self.n_readouts < 1:
+        if np.any(self.n_readouts < 1):
             raise DomainError("n_readouts must be at least 1")
 
 
-def eta_qle(snr_ratio: float, budget: TimingBudget) -> float:
+def eta_qle(snr_ratio, budget: TimingBudget):
     """Sensitivity-enhancement factor: the SNR gain discounted by the extra
     readout time, snr_ratio * sqrt(T_sense + T_qlr) / sqrt(T_sense + T_swap +
-    N * T_qlr)."""
-    if snr_ratio <= 0:
+    N * T_qlr).  Broadcasts over array ratios and budget fields."""
+    if np.any(snr_ratio <= 0):
         raise DomainError("snr_ratio must be positive")
-    return (snr_ratio * math.sqrt(budget.t_sense + budget.t_qlr)
-            / math.sqrt(budget.t_sense + budget.t_swap
-                        + budget.n_readouts * budget.t_qlr))
+    return (snr_ratio * np.sqrt(budget.t_sense + budget.t_qlr)
+            / np.sqrt(budget.t_sense + budget.t_swap
+                      + budget.n_readouts * budget.t_qlr))
 
 
 def exponential_snr_curve(t1: float, t_qlr: float,
@@ -148,20 +167,20 @@ def eta_map(n_axis, t_sense_axis, t_swap: float, t_qlr: float,
             snr_curve=None, t1: float = 3.44e-3) -> EnhancementMap:
     """Grid of eta_qle over readout count and sensing duration.
 
-    ``snr_curve`` maps N to SNR(N)/SNR(ref); the default is the
-    exponential-decay optimal-SNR model with memory lifetime ``t1``.
+    ``snr_curve`` maps an array of N to SNR(N)/SNR(ref); the default is the
+    exponential-decay optimal-SNR model with memory lifetime ``t1``.  The
+    curve is evaluated once over the n axis and eta over the whole
+    (t_sense, n) grid by broadcasting.
     """
-    ns = [int(n) for n in n_axis]
-    ts = [float(t) for t in t_sense_axis]
+    ns = tuple(int(n) for n in n_axis)
+    ts = tuple(float(t) for t in t_sense_axis)
     if not ns or not ts:
         raise DomainError("axes must be nonempty")
     curve = snr_curve if snr_curve is not None else exponential_snr_curve(t1, t_qlr)
-    eta = np.empty((len(ts), len(ns)))
-    for i, t_sense in enumerate(ts):
-        for j, n in enumerate(ns):
-            eta[i, j] = eta_qle(float(curve(n)),
-                                TimingBudget(t_sense, t_swap, t_qlr, n))
-    return EnhancementMap(tuple(ns), tuple(ts), eta)
+    n = np.array(ns)
+    eta = eta_qle(np.asarray(curve(n), dtype=float),
+                  TimingBudget(np.array(ts)[:, None], t_swap, t_qlr, n))
+    return EnhancementMap(ns, ts, eta)
 
 
 class MatchedReference(NamedTuple):

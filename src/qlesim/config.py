@@ -206,8 +206,14 @@ def _parse_options(raw, scenario):
             known = ", ".join(sorted(schema))
             raise ConfigError(f"unknown option '{key}' for scenario '{scenario}' "
                               f"(known options: {known})")
-    return {name: _parse_option(raw.get(name, option.default), option, f"options.{name}")
-            for name, option in schema.items()}
+    options = {name: _parse_option(raw.get(name, option.default), option, f"options.{name}")
+               for name, option in schema.items()}
+    for name, option in schema.items():
+        other = option.not_below
+        if other is not None and options[name] < options[other]:
+            raise ConfigError(f"options.{name} must not be below options.{other} "
+                              f"({options[other]:g}), got {options[name]:g}")
+    return options
 
 
 def _parse_signal(raw):

@@ -33,32 +33,44 @@ def format_value(value) -> str:
 
 
 def _check_table(table):
-    columns = {name: list(values) for name, values in table.items()}
-    lengths = {len(values) for values in columns.values()}
-    if len(lengths) > 1:
+    if len({len(values) for values in table.values()}) > 1:
         raise DomainError("table columns must all have the same length")
-    return columns
+
+
+# rows are formatted and written this many at a time, so a table never has
+# a whole column of strings alive at once
+_CHUNK_ROWS = 1024
+
+
+def _format_column(values) -> list:
+    """Cells of one column as strings, each equal to its format_value."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return list(map("{:.17g}".format, values.tolist()))
+    return [format_value(v) for v in values]
 
 
 def emit_csv(table: dict, path) -> Path:
     """Write named columns as UTF-8 CSV: one header row, '.'-decimal floats at
     17 significant digits, LF line endings."""
-    columns = _check_table(table)
+    _check_table(table)
+    n_rows = len(next(iter(table.values()), ()))
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns.keys())
-        for row in zip(*columns.values()):
-            writer.writerow([format_value(v) for v in row])
+        writer.writerow(table.keys())
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            writer.writerows(zip(*(_format_column(values[start:stop])
+                                   for values in table.values())))
     return path
 
 
 def emit_json_table(table: dict, path) -> Path:
     """Write named columns as a JSON document with a rows list."""
-    columns = _check_table(table)
-    names = list(columns)
+    _check_table(table)
+    names = list(table)
     rows = [dict(zip(names, (_native(v) for v in row)))
-            for row in zip(*columns.values())]
+            for row in zip(*table.values())]
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         json.dump({"columns": names, "rows": rows}, handle, indent=2)

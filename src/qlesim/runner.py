@@ -246,8 +246,8 @@ def _run_qle_snr_vs_n(config, writer, threads):
     sigma = _readout_sigma(sensor)
     amplitudes = ref_amplitude * np.exp(-n * decay)
     series = ReadoutSeries(amplitudes, np.full(n_max, sigma), ref_amplitude, sigma)
-    snr = np.array([optimal_snr(series, k) for k in n])
-    enhancement = np.array([snr_enhancement(series, k) for k in n])
+    snr = optimal_snr(series, n)
+    enhancement = snr_enhancement(series, n)
     writer.table("qle_snr_vs_n", {
         "n": n, "a_n": amplitudes, "sigma_n": np.full(n_max, sigma),
         "snr": snr, "enhancement": enhancement,
@@ -381,13 +381,11 @@ def _run_eta_map(config, writer, threads):
     t1 = nuclear_t1_vs_field(config.nuclear_t1, sensor.bias_field)
     curve = exponential_snr_curve(t1, sensor.t_qlr, opts["base_ratio"])
     grid = eta_map(n_axis, t_axis, sensor.t_swap, sensor.t_qlr, snr_curve=curve)
-    cols = {"t_sense_s": [], "n_readouts": [], "eta": []}
-    for i, t_sense in enumerate(grid.t_sense_axis):
-        for j, n in enumerate(grid.n_axis):
-            cols["t_sense_s"].append(t_sense)
-            cols["n_readouts"].append(n)
-            cols["eta"].append(grid.eta[i, j])
-    writer.table("eta_map", cols)
+    writer.table("eta_map", {
+        "t_sense_s": np.repeat(grid.t_sense_axis, len(grid.n_axis)),
+        "n_readouts": np.tile(grid.n_axis, len(grid.t_sense_axis)),
+        "eta": grid.eta.ravel(),
+    })
     i, j = np.unravel_index(int(np.argmax(grid.eta)), grid.eta.shape)
     return {"eta_max": float(grid.eta[i, j]),
             "eta_max_at": {"t_sense_s": grid.t_sense_axis[i], "n_readouts": grid.n_axis[j]},
@@ -421,7 +419,9 @@ class Option:
     ``kind`` is "int", "float", "str" or a unit dimension such as "time".  An
     int must be at least ``low``, a float or quantity must exceed it, and a
     str must be one of ``choices``.  A list option (``min_len`` set) needs at
-    least ``min_len`` distinct entries, each bounded as above.
+    least ``min_len`` distinct entries, each bounded as above.  ``not_below``
+    names another option of the scenario whose value this one may not be
+    below, as an axis's end may not be below its start.
     """
 
     kind: str
@@ -429,6 +429,7 @@ class Option:
     low: float = 0.0
     min_len: int | None = None
     choices: tuple = ()
+    not_below: str | None = None
 
 
 @dataclass(frozen=True)
@@ -483,10 +484,10 @@ SCENARIOS = {
     }),
     "eta_map": Scenario(_run_eta_map, {
         "n_min": Option("int", 1, 1),
-        "n_max": Option("int", 2000, 1),
+        "n_max": Option("int", 2000, 1, not_below="n_min"),
         "n_points": Option("int", 50, 1),
         "t_sense_min": Option("time", 10e-6),
-        "t_sense_max": Option("time", 1.0e-3),
+        "t_sense_max": Option("time", 1.0e-3, not_below="t_sense_min"),
         "t_points": Option("int", 50, 1),
         "base_ratio": Option("float", 1.0),
     }),

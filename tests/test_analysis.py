@@ -76,6 +76,8 @@ def test_weighted_snr_rejects_zero_weights():
     series = ReadoutSeries([1.0, 2.0], [1.0, 1.0], 1.0, 1.0)
     with pytest.raises(DomainError):
         weighted_snr(series, [0.0, 0.0])
+    with pytest.raises(DomainError):
+        weighted_snr(series, [1.0, 1.0], [1, 2])
 
 
 def test_snr_enhancement_reference_case():
@@ -98,6 +100,42 @@ def test_readout_series_validation():
         ReadoutSeries([1.0], [1.0], 1.0, 0.0)
     with pytest.raises(DomainError):
         optimal_snr(decay_series(10), 11)
+
+
+def test_array_counts_equal_scalar_calls_bit_for_bit():
+    series = decay_series()
+    counts = np.arange(1, len(series) + 1)
+    snr = optimal_snr(series, counts)
+    enhancement = snr_enhancement(series, counts)
+    assert snr.shape == enhancement.shape == counts.shape
+    for k in counts:
+        assert snr[k - 1] == optimal_snr(series, int(k))
+        assert enhancement[k - 1] == snr_enhancement(series, int(k))
+    # unordered and repeated counts read the same prefix sums
+    picked = np.array([[7, 3], [2000, 3]])
+    assert np.array_equal(optimal_snr(series, picked), snr[picked - 1])
+
+
+def test_array_snr_matches_fsum_oracle_at_20000_readouts():
+    n_max = 20000
+    rng = rng_stream(23, "fsum-oracle")
+    n = np.arange(1, n_max + 1)
+    series = ReadoutSeries(np.exp(-n * 3e-6 / 3.44e-3), rng.uniform(0.5, 2.0, n_max),
+                           1.0, 1.0)
+    snr = optimal_snr(series, n)
+    terms = ((series.amplitudes / series.sigmas) ** 2).tolist()
+    for k in [*range(1, n_max, 97), n_max]:
+        assert snr[k - 1] == pytest.approx(math.sqrt(math.fsum(terms[:k])), rel=1e-12)
+
+
+@pytest.mark.parametrize("counts", [[], np.array([], dtype=int), [0, 5], [1, 11],
+                                    np.array([[3], [-1]])])
+def test_out_of_range_or_empty_count_arrays_raise(counts):
+    series = decay_series(10)
+    with pytest.raises(DomainError):
+        optimal_snr(series, counts)
+    with pytest.raises(DomainError):
+        snr_enhancement(series, counts)
 
 
 # ------------------------------------------------------------------- eta
@@ -156,6 +194,36 @@ def test_eta_map_rows_fall_beyond_their_optimum():
         best = int(np.argmax(row))
         assert 0 < best < len(row) - 1
         assert np.all(np.diff(row[best:]) < 0)
+
+
+def test_eta_map_equals_per_cell_formula_bit_for_bit():
+    n_axis = np.unique(np.rint(np.linspace(1, 2000, 50)).astype(int))
+    t_axis = np.linspace(10e-6, 1e-3, 50)
+    curve = exponential_snr_curve(3.44e-3, 3e-6, 1.7)
+    grid = eta_map(n_axis, t_axis, 16.5e-6, 3e-6, snr_curve=curve)
+    for i, t_sense in enumerate(t_axis):
+        for j, n in enumerate(n_axis):
+            cell = (curve(int(n)) * math.sqrt(t_sense + 3e-6)
+                    / math.sqrt(t_sense + 16.5e-6 + int(n) * 3e-6))
+            assert grid.eta[i, j] == cell
+
+
+def _ones(n):
+    return np.ones(len(n))
+
+
+@pytest.mark.parametrize("n_axis, t_axis, t_swap, t_qlr, curve", [
+    ([], [1e-4], 16.5e-6, 3e-6, None),
+    ([1, 10], [], 16.5e-6, 3e-6, None),
+    ([1, 10], [1e-4, 0.0], 16.5e-6, 3e-6, None),
+    ([1, 10], [1e-4], 16.5e-6, 0.0, _ones),
+    ([1, 10], [1e-4], -1e-6, 3e-6, None),
+    ([1, 0], [1e-4], 16.5e-6, 3e-6, _ones),
+    ([1, 10], [1e-4], 16.5e-6, 3e-6, lambda n: 1.0 - np.log10(n)),
+])
+def test_eta_map_rejects_bad_axes_and_curves(n_axis, t_axis, t_swap, t_qlr, curve):
+    with pytest.raises(DomainError):
+        eta_map(n_axis, t_axis, t_swap, t_qlr, snr_curve=curve)
 
 
 # ------------------------------------------------- matched reference count

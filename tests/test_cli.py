@@ -97,6 +97,8 @@ def test_threads_flag_accepted(tmp_path):
     ("density_projection", "options: {densities_ppm: []}"),
     ("eta_map", "options: {n_points: 0}"),
     ("eta_map", "options: {n_min: 0}"),
+    ("eta_map", "options: {n_min: 100, n_max: 10}"),
+    ("eta_map", "options: {t_sense_min: 1 ms, t_sense_max: 10 us}"),
     ("sensitivity_vs_duration", "constants: {g: .nan}"),
     ("qle_snr_vs_n", "options: {amplitude_scale: .nan}"),
     ("eta_map", "options: {base_ratio: .inf}"),
@@ -206,7 +208,8 @@ def _assert_finite_nonempty_outputs(out_dir):
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_drawn_options_run_or_exit_2(scenario):
     """Valid options (around their bounds) run and write finite, nonempty
-    tables; one invalid option exits 2 with a ConfigError and no files."""
+    tables; one invalid option, or a valid one below the option it may not
+    be below, exits 2 with a ConfigError and no files."""
     schema = SCENARIOS[scenario].options
     valid = st.fixed_dictionaries({}, optional={n: _valid(o) for n, o in schema.items()})
     one_invalid = st.sampled_from(sorted(schema)).flatmap(
@@ -217,16 +220,19 @@ def test_drawn_options_run_or_exit_2(scenario):
             config_path = Path(tmp) / "config.yaml"
             out_dir = Path(tmp) / "out"
             options = {**_small_defaults(schema), **options, **dict([bad] if bad else [])}
+            invalid = bad is not None or any(
+                option.not_below is not None and options[name] < options[option.not_below]
+                for name, option in schema.items())
             doc = {"scenario": scenario, "options": options}
             config_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(["run", str(config_path), "--out-dir", str(out_dir)])
-            if bad is None and code == 1:
+            if not invalid and code == 1:
                 # a sweep too narrow for its power-law fit to converge
                 assert json.loads(err.getvalue())["error"]["type"] == "FitError"
                 assert not any(out_dir.iterdir())
-            elif bad is None:
+            elif not invalid:
                 assert code == 0, err.getvalue()
                 _assert_finite_nonempty_outputs(out_dir)
             else:

@@ -1,9 +1,17 @@
+import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlesim.errors import DomainError
-from qlesim.output import emit_csv, emit_json_table, file_sha256, write_json_atomic
+from qlesim.output import (_CHUNK_ROWS, emit_csv, emit_json_table, file_sha256,
+                           format_value, write_json_atomic)
 
 
 def test_two_by_two_table_is_three_lines(tmp_path):
@@ -54,3 +62,55 @@ def test_file_sha256_changes_with_content(tmp_path):
     b = emit_csv({"x": [2]}, tmp_path / "b.csv")
     assert file_sha256(a) != file_sha256(b)
     assert file_sha256(a) == file_sha256(a)
+
+
+# ------------------------------------- chunked emission vs per-cell reference
+
+def per_cell_csv(table) -> bytes:
+    """The CSV that formats one cell at a time through format_value."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(table.keys())
+    for row in zip(*(list(values) for values in table.values())):
+        writer.writerow([format_value(v) for v in row])
+    return buffer.getvalue().encode("utf-8")
+
+
+EDGE_FLOATS = [-0.0, 5e-324, -2.5e-320, 2.2250738585072009e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, 1.0 / 3.0]
+FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+NUMPY_SCALARS = (FLOATS.map(np.float64) | st.floats(width=32).map(np.float32)
+                 | INT64.map(np.int64) | st.booleans().map(np.bool_))
+
+# each column repeats a small drawn pool of values down the rows, so long
+# tables stay cheap to draw
+POOLS = {
+    "float64": (FLOATS, lambda cells: np.array(cells, dtype=float)),
+    "float32": (st.floats(width=32), lambda cells: np.array(cells, dtype=np.float32)),
+    "int64": (INT64, lambda cells: np.array(cells, dtype=np.int64)),
+    "bool": (st.booleans(), lambda cells: np.array(cells, dtype=bool)),
+    "str": (st.text(max_size=5), list),
+    "numpy_scalars": (NUMPY_SCALARS, list),
+    "python": (FLOATS | st.integers() | st.booleans(), list),
+}
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2, _CHUNK_ROWS - 1, _CHUNK_ROWS,
+                                    _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1])
+def test_chunked_csv_is_byte_identical_to_per_cell_reference(n_rows):
+    kinds = st.lists(st.sampled_from(sorted(POOLS)), min_size=1, max_size=4)
+
+    @settings(max_examples=15)
+    @given(st.data())
+    def check(data):
+        table = {}
+        for i, kind in enumerate(data.draw(kinds)):
+            values, build = POOLS[kind]
+            pool = data.draw(st.lists(values, min_size=1, max_size=6))
+            table[f"{kind}_{i}"] = build([pool[r % len(pool)] for r in range(n_rows)])
+        with tempfile.TemporaryDirectory() as tmp:
+            written = emit_csv(table, Path(tmp) / "t.csv").read_bytes()
+        assert written == per_cell_csv(table)
+
+    check()

@@ -42,6 +42,16 @@ def test_qle_snr_scenario_matches_summation_oracle(tmp_path):
     assert all(b >= a for a, b in zip(enhancements, enhancements[1:]))
 
 
+def test_qle_snr_scenario_runs_1e5_readouts_against_fsum_oracle(tmp_path):
+    """The estimators are O(N) in the readout count, so 10^5 readouts stay cheap."""
+    config = default_config("qle_snr_vs_n", seed=0, n_readouts=100_000)
+    manifest = run_scenario(config, out_dir=tmp_path)
+    decay = config.sensor.t_qlr / nuclear_t1_vs_field(config.nuclear_t1,
+                                                      config.sensor.bias_field)
+    oracle = math.sqrt(math.fsum(math.exp(-2 * n * decay) for n in range(1, 100_001)))
+    assert manifest.extras["enhancement_final"] == pytest.approx(oracle, rel=1e-9)
+
+
 def test_odmr_scenario_shows_transfer(tmp_path):
     manifest = run_scenario(default_config("odmr_swap", seed=2), out_dir=tmp_path)
     assert manifest.extras["nuclear_polarization_with_swap"] == pytest.approx(0.93, abs=1e-9)
