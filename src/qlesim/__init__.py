@@ -7,9 +7,9 @@ from .params import PhysicalConstants, SensorEnsembleParams
 from .state import (QuantumState, apply_cnot_e_given_n, apply_cnot_n_given_e,
                     apply_optical_pulse, apply_sensing_phase, apply_swap,
                     from_populations, initial_state, readout_fluorescence)
-from .sequences import (ACSignal, PulseElement, PulseSequence, TogglingFunction,
-                        accumulated_phase, b_ac_two_pi, build_droid60, build_hahn,
-                        build_xy8, resonant_aligned_tone, toggling_function)
+from .sequences import (ACSignal, PulseSequence, TogglingFunction, accumulated_phase,
+                        b_ac_two_pi, build_droid60, build_hahn, build_xy8,
+                        resonant_aligned_tone, toggling_function)
 from .noise import (ElectronCoherenceModel, NuclearT1Model, decoherence_factor,
                     electron_t2, nuclear_t1_vs_field, nuclear_t1_vs_laser,
                     project_t2_for_density, stretched_exp)

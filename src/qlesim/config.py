@@ -85,7 +85,6 @@ def _parse_bool(value, field_name):
 
 _SENSOR_FIELDS = {
     "bias_field": "gauss",
-    "laser_power": "milliwatt",
     "contrast_c0": None,
     "photons_per_readout": None,
     "swap_fidelity": None,
@@ -126,7 +125,7 @@ class ExperimentConfig:
     file_format: str = "csv"
     sensor: SensorEnsembleParams = field(default_factory=SensorEnsembleParams)
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
-    nuclear_t1: NuclearT1Model = field(default_factory=NuclearT1Model.anchored)
+    nuclear_t1: NuclearT1Model = field(default_factory=NuclearT1Model)
     electron_t2: ElectronCoherenceModel = field(default_factory=ElectronCoherenceModel)
     signal: ACSignal | None = None
     options: dict = field(default_factory=dict)
@@ -142,7 +141,8 @@ class ExperimentConfig:
             "nuclear_t1": asdict(self.nuclear_t1),
             "electron_t2": asdict(self.electron_t2),
             "signal": None if self.signal is None else
-                      {"tones": [list(t) for t in self.signal.tones]},
+                      {"tones": [dict(zip(("amplitude", "frequency", "phase"), t))
+                                 for t in self.signal.tones]},
             "options": dict(self.options),
         }
 
@@ -278,10 +278,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"constants: {exc}") from exc
 
     nuclear_kw = _parse_section(raw.get("nuclear_t1"), _NUCLEAR_T1_FIELDS, "nuclear_t1")
-    anchor = {k: nuclear_kw.pop(k) for k in ("t1_ref", "field_ref", "field_exponent")
-              if k in nuclear_kw}
     try:
-        nuclear = NuclearT1Model.anchored(**anchor, **nuclear_kw)
+        nuclear = NuclearT1Model(**nuclear_kw)
     except DomainError as exc:
         raise ConfigError(f"nuclear_t1: {exc}") from exc
 

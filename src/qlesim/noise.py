@@ -26,13 +26,14 @@ def stretched_exp(t, t1, beta):
 class NuclearT1Model:
     """Nuclear memory lifetime versus bias field and illumination power.
 
-    T1(B) = field_prefactor * B**field_exponent    (B in gauss, result in s)
-    T1(P) = (laser_a * P**-laser_b + laser_c) us   (P in mW)
+    T1(B) = t1_ref * (B / field_ref)**field_exponent   (B in gauss, result in s)
+    T1(P) = (laser_a * P**-laser_b + laser_c) us       (P in mW)
 
     Decay curves under illumination follow exp(-(t/T1)**stretch_beta).
     """
 
-    field_prefactor: float
+    t1_ref: float = 3.44e-3
+    field_ref: float = 3700.0
     field_exponent: float = 2.0
     laser_a: float = 4.003e4
     laser_b: float = 0.5154
@@ -40,8 +41,8 @@ class NuclearT1Model:
     stretch_beta: float = 1.0
 
     def __post_init__(self):
-        if self.field_prefactor <= 0:
-            raise DomainError("field_prefactor must be positive")
+        if self.t1_ref <= 0 or self.field_ref <= 0:
+            raise DomainError("anchor point must be positive")
         if self.field_exponent <= 0:
             raise DomainError("field_exponent must be positive")
         if self.laser_a <= 0 or self.laser_b <= 0 or self.laser_c < 0:
@@ -49,14 +50,10 @@ class NuclearT1Model:
         if not 0.0 < self.stretch_beta <= 2.0:
             raise DomainError("stretch_beta must lie in (0, 2]")
 
-    @classmethod
-    def anchored(cls, t1_ref: float = 3.44e-3, field_ref: float = 3700.0,
-                 field_exponent: float = 2.0, **kwargs) -> "NuclearT1Model":
-        """Model whose field power law passes through (field_ref, t1_ref)."""
-        if t1_ref <= 0 or field_ref <= 0:
-            raise DomainError("anchor point must be positive")
-        prefactor = t1_ref / field_ref ** field_exponent
-        return cls(field_prefactor=prefactor, field_exponent=field_exponent, **kwargs)
+    @property
+    def field_prefactor(self) -> float:
+        """T1 / B**field_exponent, so the power law passes through the anchor."""
+        return self.t1_ref / self.field_ref ** self.field_exponent
 
 
 def nuclear_t1_vs_field(model: NuclearT1Model, b: float) -> float:

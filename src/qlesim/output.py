@@ -12,6 +12,8 @@ from .errors import DomainError
 
 
 def _native(value):
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):

@@ -47,14 +47,13 @@ class PhysicalConstants:
 class SensorEnsembleParams:
     """Sample, timing and readout parameters of the two-qubit ensemble sensor.
 
-    Durations are in seconds.  ``bias_field`` is in gauss and ``laser_power``
-    in mW, matching how the relaxation models are parametrized.  The contrast
-    and photon budget are free instrument parameters; everything else defaults
-    to the operating point of the reference experiment.
+    Durations are in seconds and ``bias_field`` is in gauss, matching how the
+    relaxation models are parametrized.  The contrast and photon budget are
+    free instrument parameters; everything else defaults to the operating
+    point of the reference experiment.
     """
 
     bias_field: float = 3700.0            # G
-    laser_power: float = 130.0            # mW
     contrast_c0: float = 0.01             # peak fluorescence contrast
     photons_per_readout: float = 1.0e6    # expected photons per optical readout
     swap_fidelity: float = 0.93           # end-to-end polarization transfer
@@ -79,7 +78,7 @@ class SensorEnsembleParams:
                 raise DomainError(f"{name} must lie in [0, 1]")
         if not 0.0 < self.contrast_c0 <= 1.0:
             raise DomainError("contrast_c0 must lie in (0, 1]")
-        for name in ("bias_field", "laser_power", "photons_per_readout",
+        for name in ("bias_field", "photons_per_readout",
                      "n_density_ppm", "hyperfine_splitting"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")

@@ -1,11 +1,12 @@
-"""Pulse-sequence construction and AC phase accumulation.
+"""Pulse sequences as toggling skeletons, and AC phase accumulation.
 
-Sequences are timed element lists.  Decoupling pi pulses are ideal
-(zero duration), so the inter-pulse free evolution is implicit in the element
-timing.
+A decoupling sequence enters the model only through the toggling function of
+its sensing window: pi/2 at t = 0, N ideal (zero-duration) pi pulses spaced
+tau apart with half spacing at the edges, pi/2 at t = N tau.  A sequence is
+therefore just its family, its pi-pulse count and tau; the sign flips sit at
+(i + 1/2) tau in closed form.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,74 +21,28 @@ DROID60 = "DROID60"
 HAHN = "HAHN"
 FAMILIES = (XY8, DROID60, HAHN)
 
-# element kinds
-MW_PI_BROADBAND = "mw_pi_broadband"
-MW_PI_HALF = "mw_pi_half"
-KINDS = (MW_PI_BROADBAND, MW_PI_HALF)
-
-# pi-pulse axes of one XY8 unit: X Y X Y Y X Y X
-XY8_PHASES = (0.0, math.pi / 2, 0.0, math.pi / 2, math.pi / 2, 0.0, math.pi / 2, 0.0)
-
-
-@dataclass(frozen=True)
-class PulseElement:
-    kind: str
-    start_time: float
-    duration: float = 0.0
-    axis_phase: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown pulse element kind {self.kind!r}")
-        if self.start_time < 0:
-            raise DomainError("element start_time must be nonnegative")
-        if self.duration < 0:
-            raise DomainError("element duration must be nonnegative")
-
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration
-
 
 @dataclass(frozen=True)
 class PulseSequence:
-    elements: tuple
+    """One sensing window of ``pi_pulse_count`` pi pulses spaced ``tau`` apart."""
+
     family: str
     pi_pulse_count: int
-    total_duration: float
+    tau: float
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown sequence family {self.family!r}")
-        if not self.elements:
-            raise DomainError("sequence must contain at least one element")
-        if self.pi_pulse_count < 0:
-            raise DomainError("pi_pulse_count must be nonnegative")
+        if self.pi_pulse_count < 1:
+            raise DomainError("a sequence needs at least 1 pi pulse")
         if self.family == XY8 and self.pi_pulse_count % 8 != 0:
             raise DomainError("XY8 sequences need a multiple of 8 pi pulses")
-        tol = 1e-12 * max(self.total_duration, 1e-12)
-        previous_end = 0.0
-        for element in self.elements:
-            if element.start_time < previous_end - tol:
-                raise DomainError("sequence elements overlap in time")
-            previous_end = element.end_time
-        last_end = max(e.end_time for e in self.elements)
-        if abs(self.total_duration - last_end) > tol:
-            raise DomainError("total_duration must equal the end time of the last element")
+        if not self.tau > 0:
+            raise DomainError("tau must be positive")
 
-    def to_dict(self) -> dict:
-        elements = [{"kind": e.kind, "start_time": e.start_time, "duration": e.duration,
-                     "axis_phase": e.axis_phase} for e in self.elements]
-        return {
-            "family": self.family,
-            "pi_pulse_count": self.pi_pulse_count,
-            "total_duration": self.total_duration,
-            "elements": elements,
-        }
-
-    def to_json(self, indent=None) -> str:
-        """JSON document of the element list, times in seconds."""
-        return json.dumps(self.to_dict(), indent=indent)
+    @property
+    def total_duration(self) -> float:
+        return self.pi_pulse_count * self.tau
 
 
 @dataclass(frozen=True)
@@ -148,73 +103,38 @@ class TogglingFunction:
         )
 
 
-def _dd_skeleton(n_pulses, tau, family, phases=None) -> PulseSequence:
-    elements = [PulseElement(MW_PI_HALF, 0.0)]
-    for i in range(n_pulses):
-        phase = phases[i % len(phases)] if phases else 0.0
-        elements.append(PulseElement(MW_PI_BROADBAND, (i + 0.5) * tau, axis_phase=phase))
-    window = n_pulses * tau
-    elements.append(PulseElement(MW_PI_HALF, window))
-    return PulseSequence(tuple(elements), family, n_pulses, window)
-
-
 def build_xy8(repetitions: int, tau: float) -> PulseSequence:
-    """XY8 decoupling block: pi/2 - [8k pi pulses on X Y X Y Y X Y X axes,
-    spacing tau, half-spacing at the edges] - pi/2."""
+    """XY8 decoupling block: pi/2 - [8k pi pulses, spacing tau, half-spacing
+    at the edges] - pi/2."""
     if repetitions < 1:
         raise DomainError("repetitions must be at least 1")
-    if tau <= 0:
-        raise DomainError("tau must be positive")
-    return _dd_skeleton(8 * repetitions, tau, XY8, XY8_PHASES)
+    return PulseSequence(XY8, 8 * repetitions, tau)
 
 
 def build_hahn(tau: float) -> PulseSequence:
     """Hahn echo: pi/2 - tau/2 - pi - tau/2 - pi/2."""
-    if tau <= 0:
-        raise DomainError("tau must be positive")
-    return _dd_skeleton(1, tau, HAHN)
+    return PulseSequence(HAHN, 1, tau)
 
 
-def build_droid60(repetitions: int, tau: float, pulse_factor: float = 1.0) -> PulseSequence:
+def build_droid60(repetitions: int, tau: float) -> PulseSequence:
     """Interaction-decoupling block reduced to its toggling skeleton.
 
-    The block is represented by round(48 * repetitions * pulse_factor)
-    effective pi-pulse intervals of spacing tau; the family tag selects the
-    uncapped T2 model downstream.  The default factor makes a 6-repetition
-    block span 288 intervals, i.e. 144 us at tau = 0.5 us.
+    The block is represented by 48 effective pi-pulse intervals of spacing
+    tau per repetition; the family tag selects the uncapped T2 model
+    downstream.  A 6-repetition block spans 288 intervals, i.e. 144 us at
+    tau = 0.5 us.
     """
     if repetitions < 1:
         raise DomainError("repetitions must be at least 1")
-    if tau <= 0:
-        raise DomainError("tau must be positive")
-    n_pulses = round(48 * repetitions * pulse_factor)
-    if n_pulses < 1:
-        raise DomainError("pulse_factor too small: no effective pulses left")
-    return _dd_skeleton(n_pulses, tau, DROID60)
+    return PulseSequence(DROID60, 48 * repetitions, tau)
 
 
 def toggling_function(seq: PulseSequence) -> TogglingFunction:
-    """Extract the +-1 toggling function of a single sensing window.
-
-    The sequence must contain exactly two pi/2 markers; every broadband pi
-    pulse between them contributes one sign flip at its center.  For a
-    correlation measurement apply this to the block and shift it.
-    """
-    halves = [e for e in seq.elements if e.kind == MW_PI_HALF]
-    if len(halves) != 2:
-        raise DomainError("sequence does not contain a single sensing window "
-                          "(need exactly two pi/2 pulses)")
-    start, end = halves[0].start_time, halves[1].start_time
-    if end <= start:
-        raise DomainError("sensing window has nonpositive duration")
-    switches = tuple(
-        e.start_time + 0.5 * e.duration
-        for e in seq.elements
-        if e.kind == MW_PI_BROADBAND and start < e.start_time < end
-    )
-    if not switches:
-        raise DomainError("sensing window contains no pi pulses")
-    return TogglingFunction(switches, start, end)
+    """The +-1 toggling function of the sequence's sensing window: one sign
+    flip at the centre of each pi pulse.  For a correlation measurement apply
+    this to the block and shift it."""
+    switches = tuple((i + 0.5) * seq.tau for i in range(seq.pi_pulse_count))
+    return TogglingFunction(switches, 0.0, seq.total_duration)
 
 
 def accumulated_phase(tf: TogglingFunction, signal: ACSignal,

@@ -106,6 +106,7 @@ def test_threads_flag_accepted(tmp_path):
     ("density_projection", "options: {densities_ppm: [.inf]}"),
     ("correlation_threetone", "signal: {tones: [{amplitude: .nan, frequency: 1 MHz}]}"),
     ("density_projection", "sensor: {t2_hahn: 14.5 us}"),
+    ("nuclear_t1_laser_sweep", "sensor: {laser_power: 130 mW}"),
 ])
 def test_bad_inputs_exit_2_with_config_error(tmp_path, capsys, scenario, section):
     config_path = tmp_path / "config.yaml"

@@ -1,7 +1,7 @@
 import pytest
 
 from qlesim import parse_config
-from qlesim.config import SCENARIOS, default_config, parse_quantity
+from qlesim.config import SCENARIOS, config_from_dict, default_config, parse_quantity
 from qlesim.errors import ConfigError
 
 
@@ -30,13 +30,14 @@ def test_unit_suffixed_strings_are_normalized():
         "  t_swap: 16.5 us\n"
         "  t_qlr: '3 us'\n"
         "  bias_field: 0.37 T\n"
-        "  laser_power: 0.13 W\n"
         "  hyperfine_splitting: 3.03 MHz\n")
     assert config.sensor.t_swap == pytest.approx(16.5e-6)
     assert config.sensor.t_qlr == pytest.approx(3e-6)
     assert config.sensor.bias_field == pytest.approx(3700.0)
-    assert config.sensor.laser_power == pytest.approx(130.0)
     assert config.sensor.hyperfine_splitting == pytest.approx(3.03e6)
+    sweep = parse_config("scenario: nuclear_t1_laser_sweep\n"
+                         "options: {powers: [0.13 W, 20 mW, 50 mW, 90 mW, 164.3]}\n")
+    assert sweep.options["powers"][0] == pytest.approx(130.0)
 
 
 def test_t_qlr_invariant_enforced_at_parse_time():
@@ -132,3 +133,14 @@ def test_config_to_dict_is_stable():
     two = default_config("qle_snr_vs_n", seed=5).to_dict()
     assert one == two
     assert one["sensor"]["t_swap"] == 16.5e-6
+    # the manifest's config re-parses to the same config, for every scenario
+    configs = [default_config(name, seed=5) for name in SCENARIOS]
+    configs.append(parse_config(
+        "scenario: correlation_threetone\n"
+        "nuclear_t1: {t1_ref: 2 ms, field_exponent: 1.8}\n"
+        "signal:\n"
+        "  tones:\n"
+        "    - {amplitude: 0.15 uT, frequency: 0.998 MHz, phase: 1.5708}\n"
+        "    - {amplitude: 0.15 uT, frequency: 1.002 MHz}\n"))
+    for config in configs:
+        assert config_from_dict(config.to_dict()) == config

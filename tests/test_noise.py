@@ -11,32 +11,32 @@ from qlesim.sequences import DROID60, HAHN, XY8
 
 
 def test_field_model_anchor():
-    model = NuclearT1Model.anchored()
+    model = NuclearT1Model()
     assert nuclear_t1_vs_field(model, 3700.0) == pytest.approx(3.44e-3, rel=1e-12)
 
 
 def test_field_model_quadratic_scaling():
-    model = NuclearT1Model.anchored(field_exponent=2.0)
+    model = NuclearT1Model(field_exponent=2.0)
     assert nuclear_t1_vs_field(model, 2000.0) == pytest.approx(
         4.0 * nuclear_t1_vs_field(model, 1000.0), rel=1e-12)
 
 
 def test_field_model_fitted_exponent():
-    model = NuclearT1Model.anchored(field_exponent=1.8)
+    model = NuclearT1Model(field_exponent=1.8)
     oracle = 3.44e-3 * (1700.0 / 3700.0) ** 1.8  # 0.8484 ms
     assert nuclear_t1_vs_field(model, 1700.0) == pytest.approx(oracle, rel=1e-12)
     assert oracle == pytest.approx(0.8484e-3, abs=0.5e-6)
 
 
 def test_field_model_rejects_nonpositive_field():
-    model = NuclearT1Model.anchored()
+    model = NuclearT1Model()
     with pytest.raises(DomainError):
         nuclear_t1_vs_field(model, 0.0)
 
 
 def test_exponent_choice_is_stable_near_anchor():
-    quadratic = NuclearT1Model.anchored(field_exponent=2.0)
-    fitted = NuclearT1Model.anchored(field_exponent=1.8)
+    quadratic = NuclearT1Model(field_exponent=2.0)
+    fitted = NuclearT1Model(field_exponent=1.8)
     for b in np.linspace(3400.0, 4000.0, 25):
         t_quadratic = nuclear_t1_vs_field(quadratic, b)
         t_fitted = nuclear_t1_vs_field(fitted, b)
@@ -44,7 +44,7 @@ def test_exponent_choice_is_stable_near_anchor():
 
 
 def test_laser_model_at_operating_power():
-    model = NuclearT1Model.anchored()
+    model = NuclearT1Model()
     oracle_us = 4.003e4 * 130.0 ** (-0.5154) + 111.0
     value = nuclear_t1_vs_laser(model, 130.0)
     assert value == pytest.approx(oracle_us * 1e-6, rel=1e-12)
@@ -52,7 +52,7 @@ def test_laser_model_at_operating_power():
 
 
 def test_laser_model_asymptote_and_monotonicity():
-    model = NuclearT1Model.anchored()
+    model = NuclearT1Model()
     assert nuclear_t1_vs_laser(model, 1e12) == pytest.approx(111.0e-6, rel=1e-3)
     powers = np.linspace(5.0, 500.0, 40)
     values = [nuclear_t1_vs_laser(model, p) for p in powers]
@@ -128,9 +128,11 @@ def test_density_projection():
 
 def test_model_validation():
     with pytest.raises(DomainError):
-        NuclearT1Model(field_prefactor=0.0)
+        NuclearT1Model(t1_ref=0.0)
     with pytest.raises(DomainError):
-        NuclearT1Model.anchored(stretch_beta=3.0)
+        NuclearT1Model(field_ref=-1.0)
+    with pytest.raises(DomainError):
+        NuclearT1Model(stretch_beta=3.0)
     with pytest.raises(DomainError):
         ElectronCoherenceModel(t2_hahn=0.0)
     with pytest.raises(DomainError):

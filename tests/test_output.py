@@ -18,6 +18,9 @@ def test_two_by_two_table_is_three_lines(tmp_path):
     path = emit_csv({"a": [1, 2], "b": [3.5, 4.5]}, tmp_path / "t.csv")
     text = path.read_text(encoding="utf-8")
     assert text == "a,b\n1,3.5\n2,4.5\n"
+    path = emit_csv({"a": np.array([True, False]), "b": [np.False_, np.True_]},
+                    tmp_path / "b.csv")
+    assert path.read_text(encoding="utf-8") == "a,b\ntrue,false\nfalse,true\n"
 
 
 def test_floats_round_trip_exactly(tmp_path):
@@ -45,15 +48,18 @@ def test_ragged_table_rejected(tmp_path):
 
 
 def test_json_table(tmp_path):
-    path = emit_json_table({"a": [1, 2], "b": ["x", "y"]}, tmp_path / "t.json")
+    path = emit_json_table({"a": [1, 2], "b": ["x", "y"], "c": np.array([True, False])},
+                           tmp_path / "t.json")
     doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["columns"] == ["a", "b"]
-    assert doc["rows"] == [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
+    assert doc["columns"] == ["a", "b", "c"]
+    assert doc["rows"] == [{"a": 1, "b": "x", "c": True}, {"a": 2, "b": "y", "c": False}]
 
 
 def test_atomic_json_write(tmp_path):
-    path = write_json_atomic({"k": [1, 2.5]}, tmp_path / "m.json")
-    assert json.loads(path.read_text(encoding="utf-8")) == {"k": [1, 2.5]}
+    path = write_json_atomic({"k": [1, 2.5], "x": np.True_, "m": np.array([False])},
+                             tmp_path / "m.json")
+    assert json.loads(path.read_text(encoding="utf-8")) == {"k": [1, 2.5], "x": True,
+                                                            "m": [False]}
     assert not (tmp_path / "m.json.tmp").exists()
 
 
