@@ -2,12 +2,13 @@
 
 Every quantity may be given either as a bare number in the field's native unit
 or as a string like ``"16.5 us"`` / ``"3700 G"``; units are validated against
-the field's dimension and normalized at parse time.
+the field's dimension and normalized at parse time.  The keys of each model
+section are the fields of its model dataclass.
 """
 
 import math
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
@@ -30,7 +31,8 @@ _UNITS = {
     "volt": {"v": 1.0, "mv": 1e-3},
 }
 
-_QUANTITY_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([a-zA-Zµ]+)\s*$")
+_QUANTITY_RE = re.compile(
+    r"^\s*([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Zµ]+)\s*$")
 
 
 def parse_quantity(value, dimension, field_name):
@@ -83,39 +85,18 @@ def _parse_bool(value, field_name):
     return value
 
 
-_SENSOR_FIELDS = {
-    "bias_field": "gauss",
-    "contrast_c0": None,
-    "photons_per_readout": None,
-    "swap_fidelity": None,
-    "repolarization_fraction": None,
-    "t_op": "time",
-    "t_swap": "time",
-    "t_qlr": "time",
-    "t2_star": "time",
-    "n_density_ppm": None,
-    "hyperfine_splitting": "frequency",
+# each model section: its dataclass and the dimension ("bool" for a flag) of
+# every field that is not a plain number; the section's keys are the fields
+_SECTIONS = {
+    "sensor": (SensorEnsembleParams, {
+        "bias_field": "gauss", "t_op": "time", "t_swap": "time", "t_qlr": "time",
+        "t2_star": "time", "hyperfine_splitting": "frequency"}),
+    "constants": (PhysicalConstants, {}),
+    "nuclear_t1": (NuclearT1Model, {"t1_ref": "time", "field_ref": "gauss"}),
+    "electron_t2": (ElectronCoherenceModel, {
+        "t2_hahn": "time", "t2_xy8_sat": "time", "droid_unbounded": "bool"}),
 }
 
-_CONSTANTS_FIELDS = {"g": None, "mu_b": None, "hbar": None}
-
-_NUCLEAR_T1_FIELDS = {
-    "t1_ref": "time",
-    "field_ref": "gauss",
-    "field_exponent": None,
-    "laser_a": None,
-    "laser_b": None,
-    "laser_c": None,
-    "stretch_beta": None,
-}
-
-_ELECTRON_T2_FIELDS = {
-    "t2_hahn": "time",
-    "t2_xy8_sat": "time",
-    "scaling_exponent": None,
-    "droid_unbounded": "bool",
-    "decay_stretch": None,
-}
 
 @dataclass
 class ExperimentConfig:
@@ -136,10 +117,7 @@ class ExperimentConfig:
             "seed": self.seed,
             "out_dir": self.out_dir,
             "format": self.file_format,
-            "sensor": asdict(self.sensor),
-            "constants": asdict(self.constants),
-            "nuclear_t1": asdict(self.nuclear_t1),
-            "electron_t2": asdict(self.electron_t2),
+            **{name: asdict(getattr(self, name)) for name in _SECTIONS},
             "signal": None if self.signal is None else
                       {"tones": [dict(zip(("amplitude", "frequency", "phase"), t))
                                  for t in self.signal.tones]},
@@ -147,22 +125,27 @@ class ExperimentConfig:
         }
 
 
-def _parse_section(raw, schema, section):
-    if raw is None:
-        return {}
+def _parse_section(raw, section):
+    """Build a section's model from its mapping; unset fields keep their defaults."""
+    model, dimensions = _SECTIONS[section]
+    raw = {} if raw is None else raw
     if not isinstance(raw, dict):
         raise ConfigError(f"section '{section}' must be a mapping")
+    keys = {f.name for f in fields(model)}
     parsed = {}
     for key, value in raw.items():
-        if key not in schema:
-            known = ", ".join(sorted(schema))
+        if key not in keys:
+            known = ", ".join(sorted(keys))
             raise ConfigError(f"unknown key '{section}.{key}' (known keys: {known})")
-        dimension = schema[key]
+        dimension = dimensions.get(key)
         if dimension == "bool":
             parsed[key] = _parse_bool(value, f"{section}.{key}")
         else:
             parsed[key] = parse_quantity(value, dimension, f"{section}.{key}")
-    return parsed
+    try:
+        return model(**parsed)
+    except DomainError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _parse_option(value, option, field_name):
@@ -221,6 +204,8 @@ def _parse_signal(raw):
         return None
     if not isinstance(raw, dict) or set(raw) != {"tones"}:
         raise ConfigError("section 'signal' must be a mapping with a 'tones' list")
+    if not isinstance(raw["tones"], list) or not raw["tones"]:
+        raise ConfigError(f"signal.tones must be a nonempty list, got {raw['tones']!r}")
     tones = []
     for i, tone in enumerate(raw["tones"]):
         if not isinstance(tone, dict):
@@ -241,8 +226,7 @@ def _parse_signal(raw):
         raise ConfigError(f"signal: {exc}") from exc
 
 
-_TOP_KEYS = {"scenario", "seed", "out_dir", "format", "sensor", "constants",
-             "nuclear_t1", "electron_t2", "signal", "options"}
+_TOP_KEYS = {"scenario", "seed", "out_dir", "format", *_SECTIONS, "signal", "options"}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -254,7 +238,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     scenario = raw.get("scenario")
     if scenario is None:
         raise ConfigError("config needs a 'scenario' key")
-    if scenario not in SCENARIOS:
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; valid scenarios: "
                           + ", ".join(SCENARIOS))
     seed = _parse_int(raw.get("seed", 0), "seed")
@@ -264,40 +248,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("out_dir must be a string path")
-
-    sensor_kw = _parse_section(raw.get("sensor"), _SENSOR_FIELDS, "sensor")
-    try:
-        sensor = SensorEnsembleParams(**sensor_kw)
-    except DomainError as exc:
-        raise ConfigError(f"sensor: {exc}") from exc
-
-    constants_kw = _parse_section(raw.get("constants"), _CONSTANTS_FIELDS, "constants")
-    try:
-        constants = PhysicalConstants(**constants_kw)
-    except DomainError as exc:
-        raise ConfigError(f"constants: {exc}") from exc
-
-    nuclear_kw = _parse_section(raw.get("nuclear_t1"), _NUCLEAR_T1_FIELDS, "nuclear_t1")
-    try:
-        nuclear = NuclearT1Model(**nuclear_kw)
-    except DomainError as exc:
-        raise ConfigError(f"nuclear_t1: {exc}") from exc
-
-    electron_kw = _parse_section(raw.get("electron_t2"), _ELECTRON_T2_FIELDS, "electron_t2")
-    try:
-        electron = ElectronCoherenceModel(**electron_kw)
-    except DomainError as exc:
-        raise ConfigError(f"electron_t2: {exc}") from exc
-
+    sections = {name: _parse_section(raw.get(name), name) for name in _SECTIONS}
     return ExperimentConfig(
         scenario=scenario,
         seed=seed,
         out_dir=out_dir,
         file_format=file_format,
-        sensor=sensor,
-        constants=constants,
-        nuclear_t1=nuclear,
-        electron_t2=electron,
+        **sections,
         signal=_parse_signal(raw.get("signal")),
         options=_parse_options(raw.get("options"), scenario),
     )

@@ -118,10 +118,11 @@ def decoherence_factor(model: ElectronCoherenceModel, family: str,
     return stretched_exp(t_sense, t2, model.decay_stretch)
 
 
-def project_t2_for_density(t2_ref: float, n_ppm_ref: float, n_ppm_new: float) -> float:
-    """Scale a coherence time to a new nitrogen density, T2 proportional to 1/[N]."""
+def project_t2_for_density(t2_ref: float, n_ppm_ref: float, n_ppm_new):
+    """Scale a coherence time to a new nitrogen density, T2 proportional to 1/[N].
+    Broadcasts over an array of new densities."""
     if t2_ref <= 0:
         raise DomainError("t2_ref must be positive")
-    if n_ppm_ref <= 0 or n_ppm_new <= 0:
+    if n_ppm_ref <= 0 or np.any(np.asarray(n_ppm_new) <= 0):
         raise DomainError("densities must be positive")
     return t2_ref * (n_ppm_ref / n_ppm_new)

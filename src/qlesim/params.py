@@ -85,3 +85,8 @@ class SensorEnsembleParams:
         if self.t_qlr < self.t_op:
             raise DomainError("t_qlr must be at least t_op "
                               "(a readout cycle contains its optical pulse)")
+
+    @property
+    def readout_sigma(self) -> float:
+        """Shot-noise width of one readout's contrast, contrast_c0 / sqrt(photons)."""
+        return self.contrast_c0 / math.sqrt(self.photons_per_readout)

@@ -13,22 +13,19 @@ import os
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analysis import (EnhancementMap, ReadoutSeries, TimingBudget, ac_sensitivity,
-                       dominant_peaks, eta_map, exponential_snr_curve,
-                       matched_reference_count, optimal_snr, periodogram,
-                       snr_enhancement)
+from .analysis import (ReadoutSeries, ac_sensitivity, dominant_peaks, eta_map,
+                       exponential_snr_curve, optimal_snr, periodogram, snr_enhancement)
 from .errors import ConfigError
 from .fitting import fit_power_function, fit_stretched_exponential
-from .noise import (electron_t2, nuclear_t1_vs_field, nuclear_t1_vs_laser,
-                    project_t2_for_density, stretched_exp)
+from .noise import (decoherence_factor, electron_t2, nuclear_t1_vs_field,
+                    nuclear_t1_vs_laser, project_t2_for_density)
 from .output import emit_csv, emit_json_table, file_sha256, write_json, write_json_atomic
-from .params import SensorEnsembleParams
 from .rng import rng_stream
 from .sequences import (ACSignal, DROID60, XY8, accumulated_phase, build_droid60,
                         build_xy8, toggling_function)
@@ -54,18 +51,6 @@ class RunManifest:
     files: list
     wall_clock_s: float
     extras: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "toolkit_version": self.toolkit_version,
-            "config_sha256": self.config_sha256,
-            "config": self.config,
-            "files": self.files,
-            "wall_clock_s": self.wall_clock_s,
-            "extras": self.extras,
-        }
 
 
 class _OutputWriter:
@@ -109,10 +94,6 @@ def _map_indexed(fn, items, threads):
         return list(pool.map(fn, range(len(items)), items))
 
 
-def _readout_sigma(sensor: SensorEnsembleParams) -> float:
-    return sensor.contrast_c0 / math.sqrt(sensor.photons_per_readout)
-
-
 # ----------------------------------------------------------------- scenarios
 
 def _run_odmr_swap(config, writer, threads):
@@ -124,9 +105,9 @@ def _run_odmr_swap(config, writer, threads):
     lines = (-0.5 * sensor.hyperfine_splitting, +0.5 * sensor.hyperfine_splitting)
     swapped = apply_swap(initial_state(), sensor)
     states = {"no_swap": initial_state(), "swap": swapped}
-    sigma = _readout_sigma(sensor) / math.sqrt(opts["averages"])
-    cols = {"detuning_hz": [], "series": [], "contrast": []}
-    for name, state in states.items():
+    sigma = sensor.readout_sigma / math.sqrt(opts["averages"])
+
+    def spectrum(name, state):
         p = state.populations()
         # each hyperfine line dips by the drivable population difference of
         # its nuclear manifold, with a T2*-limited Lorentzian profile
@@ -134,12 +115,13 @@ def _run_odmr_swap(config, writer, threads):
         profile = sum(d * hwhm ** 2 / ((detuning - f) ** 2 + hwhm ** 2)
                       for d, f in zip(depth, lines))
         rng = rng_stream(config.seed, "odmr_swap", name)
-        sample = (sensor.contrast_c0 * profile
-                  + sigma * rng.standard_normal(len(detuning)))
-        cols["detuning_hz"].extend(detuning)
-        cols["series"].extend([name] * len(detuning))
-        cols["contrast"].extend(sample)
-    writer.table("odmr_swap", cols)
+        return sensor.contrast_c0 * profile + sigma * rng.standard_normal(len(detuning))
+
+    writer.table("odmr_swap", {
+        "detuning_hz": np.tile(detuning, len(states)),
+        "series": np.repeat(list(states), len(detuning)),
+        "contrast": np.concatenate([spectrum(*item) for item in states.items()]),
+    })
     return {"nuclear_polarization_with_swap": swapped.nuclear_polarization()}
 
 
@@ -156,7 +138,7 @@ def _decay_curve(config, t1, durations, rng, averages):
     probes = (cnot_e_given_n_map(math.sqrt(sensor.swap_fidelity))
               @ optical_map(np.append(durations, 60.0 * t1), sensor, t1, beta))
     means = sensor.contrast_c0 * ((probes @ prepared) @ ELECTRON_EXCESS)
-    noise = _readout_sigma(sensor) / math.sqrt(averages)
+    noise = sensor.readout_sigma / math.sqrt(averages)
     return means[:-1] - means[-1] + noise * rng.standard_normal(len(durations))
 
 
@@ -172,33 +154,25 @@ def _run_t1_sweep(config, writer, threads, axis_name, axis_values, t1_of):
         rng = rng_stream(config.seed, config.scenario, i)
         contrast = _decay_curve(config, t1, durations, rng, averages)
         fit = fit_stretched_exponential(durations, contrast)
-        return t1, durations, contrast, fit
+        return (durations, contrast, value, t1, fit.params[1], fit.uncertainties[1],
+                fit.params[2], fit.uncertainties[2], fit.iterations)
 
-    results = _map_indexed(one_point, axis_values, threads)
-
-    curve_cols = {axis_name: [], "duration_s": [], "contrast": []}
-    fit_cols = {axis_name: [], "t1_model_s": [], "t1_fit_s": [], "t1_err_s": [],
-                "beta_fit": [], "beta_err": [], "iterations": []}
-    for value, (t1, durations, contrast, fit) in zip(axis_values, results):
-        curve_cols[axis_name].extend([value] * len(durations))
-        curve_cols["duration_s"].extend(durations)
-        curve_cols["contrast"].extend(contrast)
-        fit_cols[axis_name].append(value)
-        fit_cols["t1_model_s"].append(t1)
-        fit_cols["t1_fit_s"].append(fit.params[1])
-        fit_cols["t1_err_s"].append(fit.uncertainties[1])
-        fit_cols["beta_fit"].append(fit.params[2])
-        fit_cols["beta_err"].append(fit.uncertainties[2])
-        fit_cols["iterations"].append(fit.iterations)
-    writer.table(f"{config.scenario}_curves", curve_cols)
+    durations, contrasts, *fit_values = zip(*_map_indexed(one_point, axis_values, threads))
+    writer.table(f"{config.scenario}_curves", {
+        axis_name: np.repeat(axis_values, n_durations),
+        "duration_s": np.concatenate(durations),
+        "contrast": np.concatenate(contrasts),
+    })
+    fit_cols = dict(zip((axis_name, "t1_model_s", "t1_fit_s", "t1_err_s", "beta_fit",
+                         "beta_err", "iterations"), fit_values))
     writer.table(f"{config.scenario}_fits", fit_cols)
-    return results, fit_cols
+    return fit_cols
 
 
 def _run_nuclear_t1_field_sweep(config, writer, threads):
     """Nuclear-memory T1 versus bias field, with a power-law fit of the exponent."""
     fields = config.options["fields"]
-    _, fit_cols = _run_t1_sweep(
+    fit_cols = _run_t1_sweep(
         config, writer, threads, "field_gauss", fields,
         lambda b: nuclear_t1_vs_field(config.nuclear_t1, b))
     power_fit = fit_power_function(np.asarray(fields), np.asarray(fit_cols["t1_fit_s"]))
@@ -216,7 +190,7 @@ def _run_nuclear_t1_field_sweep(config, writer, threads):
 def _run_nuclear_t1_laser_sweep(config, writer, threads):
     """Nuclear-memory T1 versus laser power, with a power-function fit."""
     powers = config.options["powers"]
-    _, fit_cols = _run_t1_sweep(
+    fit_cols = _run_t1_sweep(
         config, writer, threads, "power_mw", powers,
         lambda p: nuclear_t1_vs_laser(config.nuclear_t1, p))
     # fit on the native us/mW scale of the power-function parameters
@@ -243,7 +217,7 @@ def _run_qle_snr_vs_n(config, writer, threads):
     decay = sensor.t_qlr / t1
     n = np.arange(1, n_max + 1)
     ref_amplitude = sensor.contrast_c0 * opts["amplitude_scale"]
-    sigma = _readout_sigma(sensor)
+    sigma = sensor.readout_sigma
     amplitudes = ref_amplitude * np.exp(-n * decay)
     series = ReadoutSeries(amplitudes, np.full(n_max, sigma), ref_amplitude, sigma)
     snr = optimal_snr(series, n)
@@ -281,8 +255,8 @@ def _run_correlation_threetone(config, writer, threads):
     dt = opts["t_corr_max"] / n_points
     t_corr = np.arange(n_points) * dt
 
-    t2 = electron_t2(config.electron_t2, block.family, block.pi_pulse_count)
-    weight = stretched_exp(block.total_duration, t2, config.electron_t2.decay_stretch)
+    weight = decoherence_factor(config.electron_t2, block.family, block.pi_pulse_count,
+                                block.total_duration)
     phi1 = accumulated_phase(tf, signal, config.constants)
     phi2 = np.array([
         accumulated_phase(tf.shifted(block.total_duration + tc), signal, config.constants)
@@ -301,7 +275,7 @@ def _run_correlation_threetone(config, writer, threads):
     offsets, cycle_amplitude = means[-2], means[-1] - means[-2]
     means = means[:-2]
 
-    sigma = _readout_sigma(sensor)
+    sigma = sensor.readout_sigma
     rng = rng_stream(config.seed, "correlation_threetone", "qle")
     samples = means + sigma * rng.standard_normal(means.shape)
     weights = cycle_amplitude / sigma ** 2
@@ -342,32 +316,26 @@ def _run_sensitivity_vs_duration(config, writer, threads):
     opts = config.options
     tau = opts["tau"]
     f0 = 1.0 / (2.0 * tau)
-    sigma = _readout_sigma(sensor)
-    cols = {"family": [], "repetitions": [], "n_pulses": [], "t_sense_s": [],
-            "t2_s": [], "sensitivity_t_per_sqrt_hz": []}
-    for family in opts["families"]:
-        for repetitions in range(1, opts["max_repetitions"] + 1):
-            seq = _FAMILY_BUILDERS[family](repetitions, tau)
-            t2 = electron_t2(config.electron_t2, seq.family, seq.pi_pulse_count)
-            coherence = stretched_exp(seq.total_duration, t2,
-                                      config.electron_t2.decay_stretch)
-            # contrast slope at the zero crossing of the fringe
-            slope = (sensor.contrast_c0 * coherence * config.constants.gamma_e
-                     * seq.pi_pulse_count / (math.pi * f0))
-            sigma_1s = sigma * math.sqrt(seq.total_duration + sensor.t_qlr)
-            cols["family"].append(family)
-            cols["repetitions"].append(repetitions)
-            cols["n_pulses"].append(seq.pi_pulse_count)
-            cols["t_sense_s"].append(seq.total_duration)
-            cols["t2_s"].append(t2)
-            cols["sensitivity_t_per_sqrt_hz"].append(ac_sensitivity(sigma_1s, slope))
-    writer.table("sensitivity_vs_duration", cols)
+
+    def row(family, repetitions):
+        seq = _FAMILY_BUILDERS[family](repetitions, tau)
+        n, t_sense = seq.pi_pulse_count, seq.total_duration
+        coherence = decoherence_factor(config.electron_t2, family, n, t_sense)
+        # contrast slope at the zero crossing of the fringe
+        slope = sensor.contrast_c0 * coherence * config.constants.gamma_e * n / (math.pi * f0)
+        sigma_1s = sensor.readout_sigma * math.sqrt(t_sense + sensor.t_qlr)
+        return (family, repetitions, n, t_sense, electron_t2(config.electron_t2, family, n),
+                ac_sensitivity(sigma_1s, slope))
+
+    rows = [row(family, repetitions) for family in opts["families"]
+            for repetitions in range(1, opts["max_repetitions"] + 1)]
+    writer.table("sensitivity_vs_duration", dict(zip(
+        ("family", "repetitions", "n_pulses", "t_sense_s", "t2_s",
+         "sensitivity_t_per_sqrt_hz"), zip(*rows))))
     best = {}
     for family in opts["families"]:
-        rows = [i for i, f in enumerate(cols["family"]) if f == family]
-        i_best = min(rows, key=lambda i: cols["sensitivity_t_per_sqrt_hz"][i])
-        best[family] = {"t_sense_s": cols["t_sense_s"][i_best],
-                        "sensitivity_t_per_sqrt_hz": cols["sensitivity_t_per_sqrt_hz"][i_best]}
+        top = min((r for r in rows if r[0] == family), key=lambda r: r[5])
+        best[family] = {"t_sense_s": top[3], "sensitivity_t_per_sqrt_hz": top[5]}
     return {"optimal": best}
 
 
@@ -397,18 +365,16 @@ def _run_density_projection(config, writer, threads):
     t2 = config.electron_t2
     opts = config.options
     ref_density = config.sensor.n_density_ppm
-    cols = {"n_density_ppm": [], "t2_scale": [], "t2_hahn_s": [], "t2_xy8_sat_s": [],
-            "optimal_xy8_t_sense_s": []}
-    for density in opts["densities_ppm"]:
-        t2_hahn = project_t2_for_density(t2.t2_hahn, ref_density, density)
-        t2_sat = project_t2_for_density(t2.t2_xy8_sat, ref_density, density)
-        scale = t2_sat / t2.t2_xy8_sat
-        cols["n_density_ppm"].append(density)
-        cols["t2_scale"].append(scale)
-        cols["t2_hahn_s"].append(t2_hahn)
-        cols["t2_xy8_sat_s"].append(t2_sat)
-        cols["optimal_xy8_t_sense_s"].append(opts["xy8_optimal_ref"] * scale)
-    writer.table("density_projection", cols)
+    densities = np.asarray(opts["densities_ppm"])
+    t2_sat = project_t2_for_density(t2.t2_xy8_sat, ref_density, densities)
+    scale = t2_sat / t2.t2_xy8_sat
+    writer.table("density_projection", {
+        "n_density_ppm": densities,
+        "t2_scale": scale,
+        "t2_hahn_s": project_t2_for_density(t2.t2_hahn, ref_density, densities),
+        "t2_xy8_sat_s": t2_sat,
+        "optimal_xy8_t_sense_s": opts["xy8_optimal_ref"] * scale,
+    })
     return {"reference_density_ppm": ref_density}
 
 
@@ -534,5 +500,5 @@ def run_scenario(config, out_dir=None, threads: int = 1) -> RunManifest:
         wall_clock_s=time.perf_counter() - start,
         extras=extras,
     )
-    write_json_atomic(manifest.to_dict(), target / f"{config.scenario}_manifest.json")
+    write_json_atomic(asdict(manifest), target / f"{config.scenario}_manifest.json")
     return manifest

@@ -73,18 +73,15 @@ def resonant_aligned_tone(amplitude, f0) -> ACSignal:
 
 @dataclass(frozen=True)
 class TogglingFunction:
-    """Sign function of one sensing window: starts at ``initial_sign`` at
-    ``window_start`` and flips at every switch time."""
+    """Sign function of one sensing window: +1 from ``window_start`` and
+    flipping at every switch time."""
 
     switch_times: tuple
     window_start: float
     window_end: float
-    initial_sign: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "switch_times", tuple(float(t) for t in self.switch_times))
-        if self.initial_sign not in (-1, 1):
-            raise DomainError("initial_sign must be +1 or -1")
         if self.window_end <= self.window_start:
             raise DomainError("sensing window must have positive duration")
         previous = self.window_start
@@ -99,7 +96,6 @@ class TogglingFunction:
             tuple(t + offset for t in self.switch_times),
             self.window_start + offset,
             self.window_end + offset,
-            self.initial_sign,
         )
 
 
@@ -147,7 +143,7 @@ def accumulated_phase(tf: TogglingFunction, signal: ACSignal,
     """
     bounds = np.concatenate((
         [tf.window_start], np.asarray(tf.switch_times, dtype=float), [tf.window_end]))
-    signs = tf.initial_sign * (-1.0) ** np.arange(len(bounds) - 1)
+    signs = (-1.0) ** np.arange(len(bounds) - 1)
     integral = 0.0
     for amplitude, frequency, phase in signal.tones:
         w = 2.0 * math.pi * frequency

@@ -235,5 +235,4 @@ def readout_fluorescence(state, params: SensorEnsembleParams, rng, size=None):
     if params.photons_per_readout <= 0:
         raise ConfigError("photons_per_readout must be positive")
     mean = params.contrast_c0 * state.electron_excess()
-    sigma = params.contrast_c0 / math.sqrt(params.photons_per_readout)
-    return mean + sigma * rng.standard_normal(size)
+    return mean + params.readout_sigma * rng.standard_normal(size)

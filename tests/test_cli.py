@@ -107,6 +107,13 @@ def test_threads_flag_accepted(tmp_path):
     ("correlation_threetone", "signal: {tones: [{amplitude: .nan, frequency: 1 MHz}]}"),
     ("density_projection", "sensor: {t2_hahn: 14.5 us}"),
     ("nuclear_t1_laser_sweep", "sensor: {laser_power: 130 mW}"),
+    ("correlation_threetone", "options: {tau: 1.2.3 us}"),
+    ("correlation_threetone", "options: {tau: e us}"),
+    ("density_projection", 'sensor: {bias_field: "- G"}'),
+    ("correlation_threetone", "signal: {tones: 5}"),
+    ("correlation_threetone", "signal: {tones: null}"),
+    ("correlation_threetone", "signal: {tones: []}"),
+    ("[density_projection]", ""),
 ])
 def test_bad_inputs_exit_2_with_config_error(tmp_path, capsys, scenario, section):
     config_path = tmp_path / "config.yaml"

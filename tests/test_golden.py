@@ -20,6 +20,9 @@ repository root
 
 then review the diff under ``tests/golden/`` and record the change, with its
 measured drift, in CHANGES.md.
+
+At the same sizes and seed, every table written with ``format: json`` must
+hold the same columns, rows and values as its CSV twin.
 """
 
 import csv
@@ -32,6 +35,7 @@ from pathlib import Path
 import pytest
 
 from qlesim import default_config, run_scenario
+from qlesim.runner import SCENARIOS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SEED = 7
@@ -64,8 +68,9 @@ FIT_EXTRAS = {
 SPECTRUM_EXTRAS = {"min_peak_power", "median_noise_power"}
 
 
-def _run(scenario, out_dir):
+def _run(scenario, out_dir, file_format="csv"):
     config = default_config(scenario, seed=SEED, **SIZES[scenario])
+    config.file_format = file_format
     return run_scenario(config, out_dir=out_dir)
 
 
@@ -190,6 +195,38 @@ def test_scenario_matches_golden_output(scenario, tmp_path):
     ref_extras = json.loads((ref_dir / "extras.json").read_text(encoding="utf-8"))
     _compare_json(_jsonable(manifest.extras), ref_extras, _extras_tolerance(ref_dir),
                   "extras")
+
+
+def _assert_cell_matches(cell, value, what):
+    """A JSON table value against its CSV cell: numbers equal after float(),
+    ints and text exact, bools as true/false."""
+    if isinstance(value, bool):
+        assert cell == ("true" if value else "false"), what
+    elif isinstance(value, int):
+        assert cell == str(value), what
+    elif isinstance(value, float):
+        assert float(cell) == value, what
+    else:
+        assert isinstance(value, str) and _as_floats([cell]) is None, f"{what}: not text"
+        assert cell == value, what
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_json_tables_match_their_csv_twins(scenario, tmp_path):
+    csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
+    _run(scenario, csv_dir)
+    _run(scenario, json_dir, file_format="json")
+    assert {p.stem for p in json_dir.iterdir()} == {p.stem for p in csv_dir.iterdir()}
+    tables = sorted(csv_dir.glob("*.csv"))
+    assert tables
+    for csv_path in tables:
+        columns = _read_columns(csv_path)
+        doc = json.loads((json_dir / f"{csv_path.stem}.json").read_text(encoding="utf-8"))
+        assert doc["columns"] == list(columns), csv_path.name
+        for name, cells in columns.items():
+            assert len(doc["rows"]) == len(cells), f"{csv_path.name}: row count"
+            for i, (cell, row) in enumerate(zip(cells, doc["rows"])):
+                _assert_cell_matches(cell, row[name], f"{csv_path.stem}:{name}[{i}]")
 
 
 def regenerate():

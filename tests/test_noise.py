@@ -124,6 +124,12 @@ def test_density_projection():
         project_t2_for_density(28e-6, 0.0, 1.0)
     with pytest.raises(DomainError):
         project_t2_for_density(-1.0, 14.0, 1.0)
+    densities = [14.0, 7.0, 3.5, 0.8, 0.5]
+    np.testing.assert_array_equal(
+        project_t2_for_density(28e-6, 14.0, np.array(densities)),
+        [project_t2_for_density(28e-6, 14.0, d) for d in densities])
+    with pytest.raises(DomainError):
+        project_t2_for_density(28e-6, 14.0, np.array([1.0, 0.0]))
 
 
 def test_model_validation():

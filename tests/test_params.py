@@ -19,6 +19,11 @@ def test_gamma_e_near_28_ghz_per_tesla(constants):
     assert abs(ghz_per_tesla - 28.02) / 28.02 < 1e-3
 
 
+def test_readout_sigma_is_the_shot_noise_width():
+    p = SensorEnsembleParams(contrast_c0=0.02, photons_per_readout=1e4)
+    assert p.readout_sigma == 0.02 / math.sqrt(1e4)
+
+
 def test_nv_ensemble_g_factor():
     assert PhysicalConstants.nv_ensemble().g == pytest.approx(2.003)
     assert PhysicalConstants().g == 2.0

@@ -56,7 +56,6 @@ def test_toggling_switches_at_odd_half_multiples():
     tf = toggling_function(build_xy8(1, tau))
     expected = [(k + 0.5) * tau for k in range(8)]
     assert tf.switch_times == tuple(expected)
-    assert tf.initial_sign == 1
     assert (tf.window_start, tf.window_end) == (0.0, pytest.approx(8 * tau))
 
 
@@ -187,8 +186,6 @@ def test_sequence_validation():
 
 
 def test_toggling_function_validation():
-    with pytest.raises(DomainError):
-        TogglingFunction((0.5,), 0.0, 1.0, initial_sign=2)
     with pytest.raises(DomainError):
         TogglingFunction((1.5,), 0.0, 1.0)  # switch outside window
     with pytest.raises(DomainError):
