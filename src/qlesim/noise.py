@@ -9,6 +9,23 @@ from .errors import DomainError
 from .sequences import DROID60, HAHN, XY8
 
 
+def _lifetime(name, evaluate):
+    """``evaluate()``, a lifetime (or the scale of one), checked to be
+    positive and finite.
+
+    Python raises OverflowError for a float power past ~1e308 and
+    ZeroDivisionError for a quotient by an underflowed power; both count as an
+    infinite lifetime, which is then a DomainError like a zero one.
+    """
+    try:
+        value = evaluate()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} is {value:g}; it must be positive and finite")
+    return value
+
+
 def stretched_exp(t, t1, beta):
     """exp(-(t/t1)**beta).  ``t`` may be a scalar or an array."""
     if t1 <= 0:
@@ -49,26 +66,29 @@ class NuclearT1Model:
             raise DomainError("laser model parameters out of range")
         if not 0.0 < self.stretch_beta <= 2.0:
             raise DomainError("stretch_beta must lie in (0, 2]")
+        self.field_prefactor  # raises unless positive and finite
 
     @property
     def field_prefactor(self) -> float:
         """T1 / B**field_exponent, so the power law passes through the anchor."""
-        return self.t1_ref / self.field_ref ** self.field_exponent
+        return _lifetime("t1_ref / field_ref**field_exponent",
+                         lambda: self.t1_ref / self.field_ref ** self.field_exponent)
 
 
 def nuclear_t1_vs_field(model: NuclearT1Model, b: float) -> float:
     """Memory lifetime at bias field ``b`` (gauss), in seconds."""
     if b <= 0:
         raise DomainError("bias field must be positive")
-    return model.field_prefactor * b ** model.field_exponent
+    return _lifetime(f"nuclear T1 at {b:g} G",
+                     lambda: model.field_prefactor * b ** model.field_exponent)
 
 
 def nuclear_t1_vs_laser(model: NuclearT1Model, power_mw: float) -> float:
     """Memory lifetime under illumination at ``power_mw`` (mW), in seconds."""
     if power_mw <= 0:
         raise DomainError("laser power must be positive")
-    t1_us = model.laser_a * power_mw ** (-model.laser_b) + model.laser_c
-    return t1_us * 1e-6
+    return _lifetime(f"nuclear T1 at {power_mw:g} mW",
+                     lambda: (model.laser_a * power_mw ** (-model.laser_b) + model.laser_c) * 1e-6)
 
 
 @dataclass(frozen=True)
@@ -101,7 +121,8 @@ def electron_t2(model: ElectronCoherenceModel, family: str, n_pulses: int) -> fl
         raise DomainError("n_pulses must be at least 1")
     if family == HAHN:
         return model.t2_hahn
-    scaled = model.t2_hahn * n_pulses ** model.scaling_exponent
+    scaled = _lifetime(f"electron T2 at {n_pulses} pulses",
+                       lambda: model.t2_hahn * n_pulses ** model.scaling_exponent)
     if family == XY8:
         return min(scaled, model.t2_xy8_sat)
     if family == DROID60:

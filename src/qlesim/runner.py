@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .analysis import (ReadoutSeries, ac_sensitivity, dominant_peaks, eta_map,
                        exponential_snr_curve, optimal_snr, periodogram, snr_enhancement)
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .fitting import fit_power_function, fit_stretched_exponential
 from .noise import (decoherence_factor, electron_t2, nuclear_t1_vs_field,
                     nuclear_t1_vs_laser, project_t2_for_density)
@@ -86,6 +86,16 @@ class _OutputWriter:
                 pass
 
 
+def _configured(model, *args):
+    """A relaxation model evaluated at configured inputs.  Every input comes
+    from the config, so a lifetime the model cannot give there (one that
+    overflows, or is not positive and finite) is a ConfigError."""
+    try:
+        return model(*args)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _map_indexed(fn, items, threads):
     """Order-stable map over (index, item); parallel when threads > 1."""
     if threads <= 1:
@@ -103,6 +113,14 @@ def _run_odmr_swap(config, writer, threads):
     detuning = np.linspace(-opts["freq_span"] / 2, opts["freq_span"] / 2, opts["n_freq"])
     hwhm = 1.0 / (2.0 * math.pi * sensor.t2_star)
     lines = (-0.5 * sensor.hyperfine_splitting, +0.5 * sensor.hyperfine_splitting)
+    try:
+        # the largest Lorentzian denominator, at the span edge farthest from a line
+        widest = hwhm ** 2 + (opts["freq_span"] / 2 + lines[1]) ** 2
+    except OverflowError:
+        widest = math.inf
+    if not math.isfinite(widest):
+        raise ConfigError("the ODMR line shape overflows: sensor.t2_star is too short "
+                          "or options.freq_span too wide")
     swapped = apply_swap(initial_state(), sensor)
     states = {"no_swap": initial_state(), "swap": swapped}
     sigma = sensor.readout_sigma / math.sqrt(opts["averages"])
@@ -149,7 +167,7 @@ def _run_t1_sweep(config, writer, threads, axis_name, axis_values, t1_of):
     averages = opts["averages"]
 
     def one_point(i, value):
-        t1 = t1_of(value)
+        t1 = _configured(t1_of, value)
         durations = np.linspace(0.0, span * t1, n_durations)
         rng = rng_stream(config.seed, config.scenario, i)
         contrast = _decay_curve(config, t1, durations, rng, averages)
@@ -213,7 +231,7 @@ def _run_qle_snr_vs_n(config, writer, threads):
     sensor = config.sensor
     opts = config.options
     n_max = opts["n_readouts"]
-    t1 = nuclear_t1_vs_field(config.nuclear_t1, sensor.bias_field)
+    t1 = _configured(nuclear_t1_vs_field, config.nuclear_t1, sensor.bias_field)
     decay = sensor.t_qlr / t1
     n = np.arange(1, n_max + 1)
     ref_amplitude = sensor.contrast_c0 * opts["amplitude_scale"]
@@ -243,6 +261,37 @@ def _qlr_means(config, start_populations, n_cycles, t1):
     return means
 
 
+# readout trains whose noise is drawn and reduced at a time, so that no
+# (n_points, n_readouts) array is ever held
+_NOISE_ROWS = 256
+
+
+def _qle_trace(config, excess, t1, rng):
+    """Weighted QLE estimate of each stored electron excess from its readout train.
+
+    The start states are affine in the stored excess and the readout maps are
+    linear, so two reference orbits (stored excess 0 and 1) give every train's
+    per-cycle means, offsets + excess * cycle_amplitude.  With cycle weights
+    w = cycle_amplitude / sigma^2 and unit normals xi, the offset-subtracted
+    weighted mean of a train is then
+    excess * (cycle_amplitude . w) / sum(w) + sigma * (xi . w) / sum(w).
+    """
+    sensor = config.sensor
+    starts = swap_map(sensor) @ sensing_map(np.array([0.0, 1.0])) @ INITIAL_POPULATIONS
+    offsets, excited = _qlr_means(config, starts, config.options["n_readouts"], t1)
+    cycle_amplitude = excited - offsets
+    sigma = sensor.readout_sigma
+    weights = cycle_amplitude / sigma ** 2
+    noise = np.empty(len(excess))
+    xi = np.empty((min(_NOISE_ROWS, len(excess)), len(weights)))
+    for start in range(0, len(excess), len(xi)):
+        chunk = rng.standard_normal(out=xi[:len(excess) - start])
+        # reduced row by row, so the values do not depend on the chunk size
+        noise[start:start + len(chunk)] = np.einsum("ij,j->i", chunk, weights)
+    total = np.sum(weights)
+    return excess * (cycle_amplitude @ weights) / total + sigma * noise / total
+
+
 def _run_correlation_threetone(config, writer, threads):
     """Correlation spectroscopy of a three-tone AC field with QLE readout."""
     sensor = config.sensor
@@ -255,32 +304,19 @@ def _run_correlation_threetone(config, writer, threads):
     dt = opts["t_corr_max"] / n_points
     t_corr = np.arange(n_points) * dt
 
-    weight = decoherence_factor(config.electron_t2, block.family, block.pi_pulse_count,
-                                block.total_duration)
+    weight = _configured(decoherence_factor, config.electron_t2, block.family,
+                         block.pi_pulse_count, block.total_duration)
     phi1 = accumulated_phase(tf, signal, config.constants)
-    phi2 = np.array([
-        accumulated_phase(tf.shifted(block.total_duration + tc), signal, config.constants)
-        for tc in t_corr])
+    phi2 = accumulated_phase(tf, signal, config.constants,
+                             shift=block.total_duration + t_corr)
     # correlated readout: first block stored along z, second block read out
     excess = weight ** 2 * math.sin(phi1) * np.sin(phi2)
 
-    # two reference orbits (stored excess 0 and 1) pin the per-cycle offset
-    # and signal amplitude of the readout train
-    stored = np.append(excess, [0.0, 1.0])
-    starts = swap_map(sensor) @ sensing_map(stored) @ INITIAL_POPULATIONS
-
-    t1 = nuclear_t1_vs_field(config.nuclear_t1, sensor.bias_field)
-    n_cycles = opts["n_readouts"]
-    means = _qlr_means(config, starts, n_cycles, t1)
-    offsets, cycle_amplitude = means[-2], means[-1] - means[-2]
-    means = means[:-2]
+    t1 = _configured(nuclear_t1_vs_field, config.nuclear_t1, sensor.bias_field)
+    qle_trace = _qle_trace(config, excess, t1,
+                           rng_stream(config.seed, "correlation_threetone", "qle"))
 
     sigma = sensor.readout_sigma
-    rng = rng_stream(config.seed, "correlation_threetone", "qle")
-    samples = means + sigma * rng.standard_normal(means.shape)
-    weights = cycle_amplitude / sigma ** 2
-    qle_trace = (samples - offsets) @ weights / np.sum(weights)
-
     rng_ref = rng_stream(config.seed, "correlation_threetone", "reference")
     ref_trace = sensor.contrast_c0 * excess + sigma * rng_ref.standard_normal(n_points)
 
@@ -320,7 +356,7 @@ def _run_sensitivity_vs_duration(config, writer, threads):
     def row(family, repetitions):
         seq = _FAMILY_BUILDERS[family](repetitions, tau)
         n, t_sense = seq.pi_pulse_count, seq.total_duration
-        coherence = decoherence_factor(config.electron_t2, family, n, t_sense)
+        coherence = _configured(decoherence_factor, config.electron_t2, family, n, t_sense)
         # contrast slope at the zero crossing of the fringe
         slope = sensor.contrast_c0 * coherence * config.constants.gamma_e * n / (math.pi * f0)
         sigma_1s = sensor.readout_sigma * math.sqrt(t_sense + sensor.t_qlr)
@@ -346,7 +382,7 @@ def _run_eta_map(config, writer, threads):
     n_axis = np.unique(np.rint(np.linspace(opts["n_min"], opts["n_max"],
                                            opts["n_points"])).astype(int))
     t_axis = np.linspace(opts["t_sense_min"], opts["t_sense_max"], opts["t_points"])
-    t1 = nuclear_t1_vs_field(config.nuclear_t1, sensor.bias_field)
+    t1 = _configured(nuclear_t1_vs_field, config.nuclear_t1, sensor.bias_field)
     curve = exponential_snr_curve(t1, sensor.t_qlr, opts["base_ratio"])
     grid = eta_map(n_axis, t_axis, sensor.t_swap, sensor.t_qlr, snr_curve=curve)
     writer.table("eta_map", {

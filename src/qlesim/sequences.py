@@ -133,23 +133,57 @@ def toggling_function(seq: PulseSequence) -> TogglingFunction:
     return TogglingFunction(switches, 0.0, seq.total_duration)
 
 
+def _split(x):
+    """Veltkamp split of a double into two halves of at most 26 bits each."""
+    scaled = 134217729.0 * x   # 2**27 + 1
+    high = scaled - (scaled - x)
+    return high, x - high
+
+
+def _turns(frequency, shift):
+    """frequency * shift modulo 1, as a signed fraction of a turn.
+
+    The product is first formed exactly as high + low (Dekker's two-product),
+    so dropping the whole turns loses nothing and the fraction is accurate to
+    ~1e-17 however long the shift.
+    """
+    high = frequency * shift
+    f_high, f_low = _split(frequency)
+    s_high, s_low = _split(shift)
+    low = ((f_high * s_high - high) + f_high * s_low + f_low * s_high) + f_low * s_low
+    return (high - np.rint(high)) + low
+
+
 def accumulated_phase(tf: TogglingFunction, signal: ACSignal,
-                      constants: PhysicalConstants) -> float:
-    """Sensing phase gamma_e * integral of B(t) s(t) dt over the window.
+                      constants: PhysicalConstants, shift=0.0):
+    """Sensing phase gamma_e * integral of B(t) s(t - shift) dt over the window
+    displaced by ``shift``.
 
     Each tone is integrated in closed form on every constant-sign interval
-    (int sin(w t + p) dt = -cos(w t + p)/w), so the only error left is
-    floating-point rounding.
+    (int sin(w t + p) dt = -cos(w t + p)/w).  Summed over the window this is
+    the real part of the tone's filter coefficient
+    Z = sum_i s_i (e^{i(w b_i + p)} - e^{i(w b_{i+1} + p)}) / w, computed
+    once; a shift only turns it, to Re(Z e^{i w shift}), with the turn taken
+    modulo 2 pi exactly.  ``shift`` may be a float (the result is a float) or
+    an array (an array of the same shape); at shift 0 the result is exactly
+    Re(Z).
     """
     bounds = np.concatenate((
         [tf.window_start], np.asarray(tf.switch_times, dtype=float), [tf.window_end]))
     signs = (-1.0) ** np.arange(len(bounds) - 1)
-    integral = 0.0
+    shift = np.asarray(shift, dtype=float)
+    integral = np.zeros(shift.shape)
     for amplitude, frequency, phase in signal.tones:
         w = 2.0 * math.pi * frequency
-        c = np.cos(w * bounds + phase)
-        integral += amplitude * float(np.sum(signs * (c[:-1] - c[1:]))) / w
-    return constants.gamma_e * integral
+        cos_b, sin_b = np.cos(w * bounds + phase), np.sin(w * bounds + phase)
+        z_re = np.sum(signs * (cos_b[:-1] - cos_b[1:]))
+        z_im = np.sum(signs * (sin_b[:-1] - sin_b[1:]))
+        turn = 2.0 * math.pi * _turns(frequency, shift)
+        integral = integral + amplitude * (z_re * np.cos(turn) - z_im * np.sin(turn)) / w
+    result = constants.gamma_e * integral
+    if not np.all(np.isfinite(result)):
+        raise DomainError("the sensing phase overflows; tone frequency or shift too large")
+    return float(result) if result.ndim == 0 else result
 
 
 def b_ac_two_pi(f0: float, n_pulses: int, constants: PhysicalConstants) -> float:

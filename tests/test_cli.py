@@ -114,6 +114,19 @@ def test_threads_flag_accepted(tmp_path):
     ("correlation_threetone", "signal: {tones: null}"),
     ("correlation_threetone", "signal: {tones: []}"),
     ("[density_projection]", ""),
+    # a lifetime that overflows, or is not positive and finite, at parse time
+    # or where the runner first evaluates it
+    ("nuclear_t1_field_sweep", "nuclear_t1: {field_exponent: 100}"),
+    ("qle_snr_vs_n", "nuclear_t1: {field_exponent: 100}"),
+    ("eta_map", "nuclear_t1: {t1_ref: 1.0e-300, field_exponent: 10}"),
+    ("qle_snr_vs_n", "sensor: {bias_field: 1.0e-200}"),
+    ("nuclear_t1_laser_sweep",
+     "nuclear_t1: {laser_b: 200}\noptions: {powers: [0.001, 0.002, 0.003, 0.004, 0.005]}"),
+    ("correlation_threetone", "electron_t2: {scaling_exponent: 1000}"),
+    ("sensitivity_vs_duration", "electron_t2: {scaling_exponent: 1000}"),
+    # an ODMR line shape that overflows
+    ("odmr_swap", "sensor: {t2_star: 1.0e-300}"),
+    ("odmr_swap", "options: {freq_span: 1.0e200}"),
 ])
 def test_bad_inputs_exit_2_with_config_error(tmp_path, capsys, scenario, section):
     config_path = tmp_path / "config.yaml"

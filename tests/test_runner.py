@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from qlesim import default_config, run_scenario
 from qlesim.config import default_config as make_config
 from qlesim.errors import DomainError
 from qlesim.noise import nuclear_t1_vs_field
-from qlesim.runner import _decay_curve, _qlr_means
-from qlesim.state import (apply_cnot_e_given_n, apply_optical_pulse, apply_swap,
-                          from_populations, initial_state)
+from qlesim.rng import rng_stream
+from qlesim.runner import _decay_curve, _qle_trace, _qlr_means
+from qlesim.state import (INITIAL_POPULATIONS, apply_cnot_e_given_n, apply_optical_pulse,
+                          apply_swap, from_populations, initial_state, sensing_map,
+                          swap_map)
 
 
 def read_csv(path):
@@ -256,3 +259,54 @@ def test_batched_decay_curve_matches_op_by_op_loop():
     baseline = contrast(60.0 * t1)
     for duration, value in zip(durations, fast):
         assert value == pytest.approx(contrast(duration) - baseline, abs=1e-15)
+
+
+# ------------------------------------------ correlation readout, two orbits
+
+def test_qle_trace_matches_the_per_train_batched_readout():
+    n_points, n_readouts = 64, 50
+    config = default_config("correlation_threetone", seed=3, n_points=n_points,
+                            n_readouts=n_readouts)
+    sensor = config.sensor
+    t1 = nuclear_t1_vs_field(config.nuclear_t1, sensor.bias_field)
+    excess = np.random.default_rng(0).uniform(-1.0, 1.0, n_points)
+    trace = _qle_trace(config, excess, t1, rng_stream(3, "correlation_threetone", "qle"))
+    # every train through the readout maps from its own start state, with the
+    # two reference orbits appended for the offsets and the cycle amplitudes
+    stored = np.append(excess, [0.0, 1.0])
+    starts = swap_map(sensor) @ sensing_map(stored) @ INITIAL_POPULATIONS
+    means = _qlr_means(config, starts, n_readouts, t1)
+    offsets, cycle_amplitude = means[-2], means[-1] - means[-2]
+    sigma = sensor.readout_sigma
+    rng = rng_stream(3, "correlation_threetone", "qle")
+    samples = means[:-2] + sigma * rng.standard_normal((n_points, n_readouts))
+    weights = cycle_amplitude / sigma ** 2
+    batched = (samples - offsets) @ weights / np.sum(weights)
+    np.testing.assert_allclose(trace, batched, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 600])
+def test_correlation_trace_does_not_depend_on_the_noise_chunk(tmp_path, monkeypatch, rows):
+    import qlesim.runner as runner_module
+
+    config = default_config("correlation_threetone", seed=4, n_points=600, n_readouts=20)
+    run_scenario(config, out_dir=tmp_path / "default")
+    monkeypatch.setattr(runner_module, "_NOISE_ROWS", rows)
+    run_scenario(config, out_dir=tmp_path / "patched")
+    name = "correlation_trace.csv"
+    assert (tmp_path / "patched" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+
+def test_correlation_memory_stays_below_one_readout_array(tmp_path):
+    """The readout noise is drawn and reduced in chunks of trains, so the run
+    never holds an (n_points, n_readouts) array of float64."""
+    n_points, n_readouts = 4096, 2000
+    config = default_config("correlation_threetone", seed=1, n_points=n_points,
+                            n_readouts=n_readouts)
+    tracemalloc.start()
+    try:
+        run_scenario(config, out_dir=tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 8 * n_points * n_readouts

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -145,6 +146,65 @@ def test_phase_accumulation_multi_tone_is_sum_of_tones():
     combined = accumulated_phase(tf, ACSignal(tones), CONSTANTS)
     separate = sum(accumulated_phase(tf, ACSignal((t,)), CONSTANTS) for t in tones)
     assert combined == pytest.approx(separate, rel=1e-12)
+
+
+# ------------------------------------------------ shifted windows, closed form
+
+def _random_signal(rng, n_tones):
+    """Tones inside the pass band of XY8 at tau = 0.5 us, ~0.5 rad each."""
+    return ACSignal(tuple(
+        (rng.uniform(1.0, 2.0) * 1e-7, rng.uniform(0.99e6, 1.01e6), rng.uniform(0, 2 * math.pi))
+        for _ in range(n_tones)))
+
+
+@pytest.mark.parametrize("n_tones", [1, 2, 3])
+def test_shifted_phase_matches_the_shifted_window(n_tones):
+    rng = np.random.default_rng(n_tones)
+    tf = toggling_function(build_xy8(6, 0.5e-6))
+    signal = _random_signal(rng, n_tones)
+    shifts = np.append(rng.uniform(0.0, 1.5e-3, 63), 1.5e-3)
+    closed = accumulated_phase(tf, signal, CONSTANTS, shift=shifts)
+    windows = [accumulated_phase(tf.shifted(s), signal, CONSTANTS) for s in shifts]
+    # largest phase the tones can give; rounding the shifted windows' ~1e4 rad
+    # cosine arguments costs up to ~1e-12 of it
+    scale = CONSTANTS.gamma_e * sum(a for a, _, _ in signal.tones) * tf.window_end
+    np.testing.assert_allclose(closed, windows, rtol=0, atol=1e-11 * scale)
+
+
+def test_array_shift_equals_its_scalar_calls():
+    tf = toggling_function(build_xy8(6, 0.5e-6))
+    signal = _random_signal(np.random.default_rng(5), 3)
+    shifts = 24e-6 + np.linspace(0.0, 1.5e-3, 97)
+    array = accumulated_phase(tf, signal, CONSTANTS, shift=shifts)
+    scalars = [accumulated_phase(tf, signal, CONSTANTS, shift=float(s)) for s in shifts]
+    assert array.shape == shifts.shape and all(type(s) is float for s in scalars)
+    assert np.array_equal(array, scalars)
+    unshifted = accumulated_phase(tf, signal, CONSTANTS)
+    assert np.array_equal(accumulated_phase(tf, signal, CONSTANTS, shift=np.zeros(3)),
+                          [unshifted] * 3)
+
+
+def test_shifted_phase_matches_40_digit_oracle():
+    """The turn e^{i w shift} is reduced modulo 2 pi exactly, so the phase
+    stays at the rounding of the window's own ~150 rad arguments however long
+    the shift.  Taking the turn as the rounded product w * shift would leave
+    errors of ~1e-12 rad at 1.5 ms."""
+    tf = toggling_function(build_xy8(6, 0.5e-6))
+    rng = np.random.default_rng(11)
+    signal = _random_signal(rng, 3)
+    shifts = np.append(rng.uniform(0.0, 1.5e-3, 39), 1.5e-3)
+    phases = accumulated_phase(tf, signal, CONSTANTS, shift=shifts)
+    bounds = [tf.window_start, *tf.switch_times, tf.window_end]
+    with mpmath.workdps(40):
+        for shift, phase in zip(shifts, phases):
+            total = mpmath.mpf(0)
+            for amplitude, frequency, tone_phase in signal.tones:
+                w = 2 * mpmath.pi * frequency
+                ends = [mpmath.cos(w * (mpmath.mpf(b) + float(shift)) + tone_phase)
+                        for b in bounds]
+                total += amplitude * mpmath.fsum(
+                    (-1) ** i * (ends[i] - ends[i + 1]) for i in range(len(ends) - 1)) / w
+            assert abs(float(phase) - CONSTANTS.gamma_e * total) < 1e-13
 
 
 # ----------------------------------------------------------- calibration
