@@ -1,13 +1,15 @@
-"""Damped least-squares curve fitting with deterministic seeding.
+"""Separable least-squares curve fitting with grid seeds.
 
-The three model fits used by the analysis all run through one
-Levenberg-Marquardt loop with finite-difference Jacobians.  Seeding is
-derivative-free and deterministic, so identical inputs always produce
-identical results.
+Every model fitted here is linear in some of its parameters.  One
+Levenberg-Marquardt loop with finite-difference Jacobians searches the
+nonlinear parameters only, and at every evaluation the linear ones are solved
+exactly (variable projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+(1973)).  A search starts from the best point of a fixed grid, ranked by the
+projected cost, so identical inputs always produce identical results.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +17,9 @@ from .errors import DomainError, FitError
 
 MAX_ITERATIONS = 200
 STEP_TOL = 1e-10   # relative parameter step
-GRAD_TOL = 1e-12   # infinity norm of J^T r
+COS_TOL = 1e-8     # cosine between the residual and a Jacobian column
+# power-law exponent seeds; at b = 0 the amplitude and offset are one constant
+EXPONENT_GRID = np.delete(np.linspace(-4.0, 4.0, 17), 8)
 
 
 @dataclass
@@ -38,93 +42,99 @@ class FitResult:
         }
 
 
-def _jacobian(fn, x, p, f0):
-    jac = np.empty((len(x), len(p)))
+def _jacobian(fn, p, f0):
+    jac = np.empty((len(f0), len(p)))
     for j in range(len(p)):
         step = 1e-7 * max(abs(p[j]), 1e-9)
         q = p.copy()
         q[j] += step
-        jac[:, j] = (fn(x, q) - f0) / step
+        jac[:, j] = (fn(q) - f0) / step
     return jac
 
 
-def damped_least_squares(fn, x, y, p0, model_name="fit",
-                         max_iterations=MAX_ITERATIONS) -> FitResult:
-    """Minimize ||y - fn(x, p)|| by Levenberg-Marquardt.
-
-    Converges when the relative parameter step drops below 1e-10 or the
-    gradient infinity norm below 1e-12; otherwise raises FitError carrying the
-    best result seen.  Parameter uncertainties come from the local curvature,
-    sigma_i = sqrt(s^2 [ (J^T J)^-1 ]_ii) with s^2 the residual variance.
-    The Jacobian columns are scaled to unit norm before the inversion, so
-    parameters on very different scales do not lose their variance to the
-    pseudo-inverse cutoff.
-    """
+def _checked(x, y, n_params, what):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    p = np.array(p0, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise DomainError("x and y must be 1-d arrays of equal length")
-    if len(y) < len(p) + 2:
-        raise DomainError(f"need at least {len(p) + 2} points to fit {model_name}")
+    if len(y) < n_params + 2:
+        raise DomainError(f"need at least {n_params + 2} points to fit {what}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DomainError("x and y must be finite")
+    return x, y
 
-    f = fn(x, p)
-    r = y - f
-    cost = float(r @ r)
-    if not math.isfinite(cost):
-        raise DomainError("initial parameters produce non-finite residuals")
 
-    lam = 1e-3
-    converged = False
-    iterations = 0
-    while iterations < max_iterations and not converged:
-        iterations += 1
-        jac = _jacobian(fn, x, p, f)
-        grad = jac.T @ r
-        if np.max(np.abs(grad)) < GRAD_TOL:
-            converged = True
-            break
-        a = jac.T @ jac
-        damping = np.clip(np.diag(a), 1e-300, None)
-        accepted = False
-        for _ in range(60):
-            try:
-                step = np.linalg.solve(a + lam * np.diag(damping), grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            p_try = p + step
-            f_try = fn(x, p_try)
-            if np.all(np.isfinite(f_try)):
-                r_try = y - f_try
-                cost_try = float(r_try @ r_try)
-            else:
-                cost_try = math.inf
-            if cost_try < cost:
-                rel_step = float(np.max(np.abs(step) / np.maximum(np.abs(p), 1e-300)))
-                p, f, r, cost = p_try, f_try, r_try, cost_try
-                lam = max(lam / 3.0, 1e-14)
-                accepted = True
-                if rel_step < STEP_TOL:
-                    converged = True
+def _fit(model, x, y, expand, seeds, name, max_iterations) -> FitResult:
+    """Minimize ||y - model(x, p)|| by Levenberg-Marquardt over the search
+    parameters theta, where p = expand(theta) adds the linear parameters that
+    fit best at theta, starting from the seed of lowest cost.
+
+    Converges when no Jacobian column has a cosine above 1e-8 with the
+    residual, or when a rejected step is already below 1e-10 of the
+    parameters; both tests are free of units.  Otherwise raises FitError
+    carrying the best result seen.  Floating-point warnings are off: a point
+    whose model overflows costs infinity, and a result that overflows is
+    returned non-finite for the caller to judge.
+
+    Uncertainties come from the full model's local curvature,
+    sigma_i = sqrt(s^2 [ (J^T J)^-1 ]_ii) with s^2 the residual variance.  The
+    Jacobian columns are scaled to a largest entry of 1 before the inversion,
+    so parameters on very different scales do not lose their variance to the
+    pseudo-inverse cutoff, and no column norm overflows.
+    """
+    def projected(theta):
+        return model(x, expand(theta))
+
+    def evaluate(theta):
+        f = projected(theta)
+        r = y - f
+        cost = float(r @ r)
+        return f, r, cost if math.isfinite(cost) else math.inf
+
+    with np.errstate(all="ignore"):
+        theta = np.array(min(seeds, key=lambda seed: evaluate(seed)[2]), dtype=float)
+        f, r, cost = evaluate(theta)
+        if cost == math.inf:
+            raise DomainError("initial parameters produce non-finite residuals")
+        lam = 1e-3
+        converged = False
+        iterations = 0
+        while iterations < max_iterations and not converged:
+            iterations += 1
+            jac = _jacobian(projected, theta, f)
+            grad = jac.T @ r
+            if np.all(np.abs(grad) <= COS_TOL * math.sqrt(cost) * np.linalg.norm(jac, axis=0)):
+                converged = True
                 break
-            lam *= 10.0
-        if not accepted and not converged:
-            # no damping produced a lower cost: numerically at a minimum
-            converged = True
+            a = jac.T @ jac
+            damping = np.clip(np.diag(a), 1e-300, None)
+            for _ in range(60):
+                try:
+                    step = np.linalg.solve(a + lam * np.diag(damping), grad)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    continue
+                f_try, r_try, cost_try = evaluate(theta + step)
+                if cost_try < cost:
+                    theta, f, r, cost = theta + step, f_try, r_try, cost_try
+                    lam = max(lam / 3.0, 1e-14)
+                    break
+                if np.max(np.abs(step) / np.maximum(np.abs(theta), 1e-300)) < STEP_TOL:
+                    converged = True
+                    break
+                lam *= 10.0
 
-    jac = _jacobian(fn, x, p, f)
-    dof = max(len(y) - len(p), 1)
-    scale = np.linalg.norm(jac, axis=0)
-    scale[scale == 0] = 1.0
-    unit = jac / scale
-    cov = (cost / dof) * np.linalg.pinv(unit.T @ unit) / np.outer(scale, scale)
-    sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    result = FitResult(p, sigma, math.sqrt(cost), converged, iterations, model_name)
+        p = expand(theta)
+        jac = _jacobian(lambda q: model(x, q), p, f)
+        dof = max(len(y) - len(p), 1)
+        scale = np.max(np.abs(jac), axis=0)
+        scale[scale == 0] = 1.0
+        unit = jac / scale
+        cov = (cost / dof) * np.linalg.pinv(unit.T @ unit) / np.outer(scale, scale)
+        sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    result = FitResult(p, sigma, math.sqrt(cost), converged, iterations, name)
     if not converged:
-        raise FitError(f"{model_name} fit did not converge within "
+        raise FitError(f"{name} fit did not converge within "
                        f"{max_iterations} iterations", result=result)
     return result
 
@@ -148,48 +158,28 @@ def power_function_model(x, p):
     return a * np.abs(x) ** (-b) + c
 
 
-def _dominant_frequency(x, y):
-    # seeding only; assumes a roughly uniform grid
-    order = np.argsort(x)
-    xs, ys = x[order], y[order] - np.mean(y)
-    dt = float(np.median(np.diff(xs)))
-    if dt <= 0:
-        raise DomainError("x values must be distinct")
-    spectrum = np.abs(np.fft.rfft(ys))
-    spectrum[0] = 0.0
-    peak = int(np.argmax(spectrum))
-    if peak == 0:
-        return 1.0 / (xs[-1] - xs[0])
-    return peak / (len(xs) * dt)
-
-
 def fit_sinusoid(x, y, max_iterations=MAX_ITERATIONS) -> FitResult:
-    """Fit y = A sin(2 pi f x + phi) + c.
+    """Fit y = A sin(2 pi f x + phi) + c, searching f only.
 
-    Frequency is seeded from the dominant FFT bin and the phase from the best
-    of eight equally spaced candidates.  The returned parameters are
+    A sin(2 pi f x + phi) + c = alpha sin(2 pi f x) + beta cos(2 pi f x) + c,
+    so amplitude, phase and offset are solved exactly at every f.  f is seeded
+    from k / span(x), k = 1 .. n/2, by this projected cost (the floating-mean
+    periodogram, which needs no uniform grid).  The returned parameters are
     canonical: A >= 0, f > 0, phi in [0, 2 pi).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) < 6:
-        raise DomainError("need at least 6 points to fit a sinusoid")
-    f0 = _dominant_frequency(x, y)
-    a0 = math.sqrt(2.0) * float(np.std(y))
-    c0 = float(np.mean(y))
-    if a0 == 0:
-        raise DomainError("constant data cannot define a sinusoid")
-    best_phase, best_cost = 0.0, math.inf
-    for phase in np.arange(8) * (math.pi / 4.0):
-        r = y - sinusoid_model(x, (a0, f0, phase, c0))
-        cost = float(r @ r)
-        if cost < best_cost:
-            best_phase, best_cost = phase, cost
-    result = damped_least_squares(sinusoid_model, x, y, (a0, f0, best_phase, c0),
-                                  "sinusoid", max_iterations)
+    x, y = _checked(x, y, 4, "a sinusoid")
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
+        raise DomainError("a sinusoid needs distinct x values and nonconstant y")
+
+    def expand(theta):
+        w = 2.0 * math.pi * theta[0]
+        basis = np.column_stack((np.sin(w * x), np.cos(w * x), np.ones_like(x)))
+        (alpha, beta, offset), *_ = np.linalg.lstsq(basis, y, rcond=None)
+        return np.array([math.hypot(alpha, beta), theta[0], math.atan2(beta, alpha), offset])
+
+    seeds = np.arange(1, len(x) // 2 + 1)[:, None] / np.ptp(x)
+    result = _fit(sinusoid_model, x, y, expand, seeds, "sinusoid", max_iterations)
     a, freq, phase, offset = result.params
-    if a < 0:
-        a, phase = -a, phase + math.pi
     if freq < 0:
         freq, phase = -freq, math.pi - phase
     result.params = np.array([a, freq, phase % (2.0 * math.pi), offset])
@@ -198,10 +188,7 @@ def fit_sinusoid(x, y, max_iterations=MAX_ITERATIONS) -> FitResult:
 
 def fit_stretched_exponential(t, y, max_iterations=MAX_ITERATIONS) -> FitResult:
     """Fit y = A exp(-(t/T1)**beta); T1 seeded from the 1/e crossing."""
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(t) < 5:
-        raise DomainError("need at least 5 points to fit a stretched exponential")
+    t, y = _checked(t, y, 3, "a stretched exponential")
     if np.any(t < 0):
         raise DomainError("t must be nonnegative")
     order = np.argsort(t)
@@ -216,26 +203,26 @@ def fit_stretched_exponential(t, y, max_iterations=MAX_ITERATIONS) -> FitResult:
         t1_0 = float(ts[i - 1] + frac * (ts[i] - ts[i - 1]))
     if t1_0 <= 0:
         t1_0 = float(ts[-1]) / 2.0
-    return damped_least_squares(stretched_exp_model, t, y, (a0, t1_0, 1.0),
-                                "stretched_exponential", max_iterations)
+    return _fit(stretched_exp_model, t, y, np.asarray, [(a0, t1_0, 1.0)],
+                "stretched_exponential", max_iterations)
 
 
 def fit_power_function(x, y, max_iterations=MAX_ITERATIONS) -> FitResult:
-    """Fit y = a |x|^-b + c, seeded from the log-log slope with c = min(y)/2."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) < 5:
-        raise DomainError("need at least 5 points to fit a power function")
+    """Fit y = a |x|^-b + c, searching b only.
+
+    a and c are solved exactly at every b; b is seeded from the best of
+    EXPONENT_GRID by this projected cost.
+    """
+    x, y = _checked(x, y, 3, "a power function")
     if np.any(x == 0):
         raise DomainError("x must be nonzero")
-    c0 = float(np.min(y)) / 2.0
-    z = y - c0
-    mask = z > 0
-    if mask.sum() < 2:
-        c0 = float(np.min(y)) - 1.0
-        z = y - c0
-        mask = z > 0
-    slope, intercept = np.polyfit(np.log(np.abs(x[mask])), np.log(z[mask]), 1)
-    return damped_least_squares(power_function_model, x, y,
-                                (math.exp(intercept), -slope, c0),
-                                "power_function", max_iterations)
+    y_dev = y - np.mean(y)
+
+    def expand(theta):
+        u = np.abs(x) ** -theta[0]
+        u_dev = u - np.mean(u)
+        a = (u_dev @ y_dev) / (u_dev @ u_dev)
+        return np.array([a, theta[0], np.mean(y) - a * np.mean(u)])
+
+    return _fit(power_function_model, x, y, expand, EXPONENT_GRID[:, None],
+                "power_function", max_iterations)

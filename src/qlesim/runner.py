@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .analysis import (ReadoutSeries, ac_sensitivity, dominant_peaks, eta_map,
                        exponential_snr_curve, optimal_snr, periodogram, snr_enhancement)
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, FitError
 from .fitting import fit_power_function, fit_stretched_exponential
 from .noise import (decoherence_factor, electron_t2, nuclear_t1_vs_field,
                     nuclear_t1_vs_laser, project_t2_for_density)
@@ -87,9 +87,10 @@ class _OutputWriter:
 
 
 def _configured(model, *args):
-    """A relaxation model evaluated at configured inputs.  Every input comes
-    from the config, so a lifetime the model cannot give there (one that
-    overflows, or is not positive and finite) is a ConfigError."""
+    """A model evaluated at configured inputs.  Every input comes from the
+    config, so a value the model cannot give there (a lifetime that overflows
+    or is not positive and finite, a sensing phase that overflows) is a
+    ConfigError."""
     try:
         return model(*args)
     except DomainError as exc:
@@ -160,7 +161,7 @@ def _decay_curve(config, t1, durations, rng, averages):
     return means[:-1] - means[-1] + noise * rng.standard_normal(len(durations))
 
 
-def _run_t1_sweep(config, writer, threads, axis_name, axis_values, t1_of):
+def _run_t1_sweep(config, writer, threads, axis_option, axis_name, t1_of):
     opts = config.options
     n_durations = opts["n_durations"]
     span = opts["duration_span_t1"]
@@ -171,10 +172,12 @@ def _run_t1_sweep(config, writer, threads, axis_name, axis_values, t1_of):
         durations = np.linspace(0.0, span * t1, n_durations)
         rng = rng_stream(config.seed, config.scenario, i)
         contrast = _decay_curve(config, t1, durations, rng, averages)
-        fit = fit_stretched_exponential(durations, contrast)
+        fit = _determined(fit_stretched_exponential, durations, contrast,
+                          f"the decay curve at options.{axis_option}[{i}] = {value:g}")
         return (durations, contrast, value, t1, fit.params[1], fit.uncertainties[1],
                 fit.params[2], fit.uncertainties[2], fit.iterations)
 
+    axis_values = opts[axis_option]
     durations, contrasts, *fit_values = zip(*_map_indexed(one_point, axis_values, threads))
     writer.table(f"{config.scenario}_curves", {
         axis_name: np.repeat(axis_values, n_durations),
@@ -187,13 +190,32 @@ def _run_t1_sweep(config, writer, threads, axis_name, axis_values, t1_of):
     return fit_cols
 
 
+def _determined(fit, x, y, what):
+    """fit(x, y) on simulated sweep data.  Every input comes from the config,
+    so data that leave the fit undetermined are a ConfigError naming ``what``:
+    the search does not converge, a parameter or uncertainty is not finite,
+    or the lifetime or exponent (parameter 1 of both models) is within three
+    sigma of zero, where the model degenerates."""
+    try:
+        result = fit(np.asarray(x), np.asarray(y))
+    except FitError as exc:
+        raise ConfigError(f"the fit to {what} is undetermined: {exc}") from exc
+    value, sigma = result.params[1], result.uncertainties[1]
+    if not (abs(value) > 3.0 * sigma and np.all(np.isfinite(result.params))
+            and np.all(np.isfinite(result.uncertainties))):
+        raise ConfigError(f"the fit to {what} is undetermined: {result.model} "
+                          f"parameter 1 is {value:.3g} +- {sigma:.3g}")
+    return result
+
+
 def _run_nuclear_t1_field_sweep(config, writer, threads):
     """Nuclear-memory T1 versus bias field, with a power-law fit of the exponent."""
     fields = config.options["fields"]
     fit_cols = _run_t1_sweep(
-        config, writer, threads, "field_gauss", fields,
+        config, writer, threads, "fields", "field_gauss",
         lambda b: nuclear_t1_vs_field(config.nuclear_t1, b))
-    power_fit = fit_power_function(np.asarray(fields), np.asarray(fit_cols["t1_fit_s"]))
+    power_fit = _determined(fit_power_function, fields, fit_cols["t1_fit_s"],
+                            "the T1 values over options.fields")
     exponent = -float(power_fit.params[1])
     writer.json("nuclear_t1_field_power_law", {
         "field_exponent": exponent,
@@ -209,11 +231,12 @@ def _run_nuclear_t1_laser_sweep(config, writer, threads):
     """Nuclear-memory T1 versus laser power, with a power-function fit."""
     powers = config.options["powers"]
     fit_cols = _run_t1_sweep(
-        config, writer, threads, "power_mw", powers,
+        config, writer, threads, "powers", "power_mw",
         lambda p: nuclear_t1_vs_laser(config.nuclear_t1, p))
     # fit on the native us/mW scale of the power-function parameters
-    t1_us = np.asarray(fit_cols["t1_fit_s"]) * 1e6
-    power_fit = fit_power_function(np.asarray(powers), t1_us)
+    power_fit = _determined(fit_power_function, powers,
+                            np.asarray(fit_cols["t1_fit_s"]) * 1e6,
+                            "the T1 values over options.powers")
     a, b, c = (float(v) for v in power_fit.params)
     writer.json("nuclear_t1_laser_power_function", {
         "a": a, "b": b, "c": c,
@@ -306,9 +329,9 @@ def _run_correlation_threetone(config, writer, threads):
 
     weight = _configured(decoherence_factor, config.electron_t2, block.family,
                          block.pi_pulse_count, block.total_duration)
-    phi1 = accumulated_phase(tf, signal, config.constants)
-    phi2 = accumulated_phase(tf, signal, config.constants,
-                             shift=block.total_duration + t_corr)
+    phi1 = _configured(accumulated_phase, tf, signal, config.constants)
+    phi2 = _configured(accumulated_phase, tf, signal, config.constants,
+                       block.total_duration + t_corr)
     # correlated readout: first block stored along z, second block read out
     excess = weight ** 2 * math.sin(phi1) * np.sin(phi2)
 

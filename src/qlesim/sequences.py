@@ -173,14 +173,16 @@ def accumulated_phase(tf: TogglingFunction, signal: ACSignal,
     signs = (-1.0) ** np.arange(len(bounds) - 1)
     shift = np.asarray(shift, dtype=float)
     integral = np.zeros(shift.shape)
-    for amplitude, frequency, phase in signal.tones:
-        w = 2.0 * math.pi * frequency
-        cos_b, sin_b = np.cos(w * bounds + phase), np.sin(w * bounds + phase)
-        z_re = np.sum(signs * (cos_b[:-1] - cos_b[1:]))
-        z_im = np.sum(signs * (sin_b[:-1] - sin_b[1:]))
-        turn = 2.0 * math.pi * _turns(frequency, shift)
-        integral = integral + amplitude * (z_re * np.cos(turn) - z_im * np.sin(turn)) / w
-    result = constants.gamma_e * integral
+    # an overflow anywhere leaves a non-finite phase, which is raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for amplitude, frequency, phase in signal.tones:
+            w = 2.0 * math.pi * frequency
+            cos_b, sin_b = np.cos(w * bounds + phase), np.sin(w * bounds + phase)
+            z_re = np.sum(signs * (cos_b[:-1] - cos_b[1:]))
+            z_im = np.sum(signs * (sin_b[:-1] - sin_b[1:]))
+            turn = 2.0 * math.pi * _turns(frequency, shift)
+            integral = integral + amplitude * (z_re * np.cos(turn) - z_im * np.sin(turn)) / w
+        result = constants.gamma_e * integral
     if not np.all(np.isfinite(result)):
         raise DomainError("the sensing phase overflows; tone frequency or shift too large")
     return float(result) if result.ndim == 0 else result

@@ -127,6 +127,15 @@ def test_threads_flag_accepted(tmp_path):
     # an ODMR line shape that overflows
     ("odmr_swap", "sensor: {t2_star: 1.0e-300}"),
     ("odmr_swap", "options: {freq_span: 1.0e200}"),
+    # a T1 sweep whose data do not determine its fits: a 3% field span, and
+    # 5 durations over 10 T1
+    ("nuclear_t1_field_sweep", "options: {fields: [125, 126, 127, 128, 129]}"),
+    ("nuclear_t1_field_sweep", "options: {fields: [125, 128, 129, 126, 127], "
+                               "n_durations: 5, duration_span_t1: 10, averages: 16}"),
+    # a sensing phase that overflows
+    ("correlation_threetone", "options: {t_corr_max: 1.0e301}"),
+    ("correlation_threetone",
+     "signal: {tones: [{amplitude: 0.15 uT, frequency: 1.0e305, phase: 0}]}"),
 ])
 def test_bad_inputs_exit_2_with_config_error(tmp_path, capsys, scenario, section):
     config_path = tmp_path / "config.yaml"
@@ -229,10 +238,13 @@ def _assert_finite_nonempty_outputs(out_dir):
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_drawn_options_run_or_exit_2(scenario):
     """Valid options (around their bounds) run and write finite, nonempty
-    tables; one invalid option, or a valid one below the option it may not
-    be below, exits 2 with a ConfigError and no files."""
+    tables, except that a T1 sweep whose power law they leave undetermined
+    exits 2 with a ConfigError naming the swept option; one invalid option, or
+    a valid one below the option it may not be below, exits 2 with a
+    ConfigError and no files."""
     schema = SCENARIOS[scenario].options
     valid = st.fixed_dictionaries({}, optional={n: _valid(o) for n, o in schema.items()})
+    swept = next((f"options.{name}" for name in ("fields", "powers") if name in schema), None)
     one_invalid = st.sampled_from(sorted(schema)).flatmap(
         lambda name: st.tuples(st.just(name), _invalid(schema[name])))
 
@@ -249,10 +261,11 @@ def test_drawn_options_run_or_exit_2(scenario):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(["run", str(config_path), "--out-dir", str(out_dir)])
-            if not invalid and code == 1:
-                # a sweep too narrow for its power-law fit to converge
-                assert json.loads(err.getvalue())["error"]["type"] == "FitError"
-                assert not any(out_dir.iterdir())
+            if not invalid and code == 2 and swept is not None:
+                # a T1 sweep too narrow to determine its power-law exponent
+                error = json.loads(err.getvalue())["error"]
+                assert error["type"] == "ConfigError" and swept in error["message"], error
+                assert not out_dir.exists() or not any(out_dir.iterdir())
             elif not invalid:
                 assert code == 0, err.getvalue()
                 _assert_finite_nonempty_outputs(out_dir)

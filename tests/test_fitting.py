@@ -1,10 +1,14 @@
+import csv
+import json
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
-from qlesim import (fit_power_function, fit_sinusoid, fit_stretched_exponential,
-                    rng_stream)
+from qlesim import (default_config, fit_power_function, fit_sinusoid,
+                    fit_stretched_exponential, rng_stream, run_scenario)
 from qlesim.errors import DomainError, FitError
 from qlesim.fitting import (power_function_model, sinusoid_model,
                             stretched_exp_model)
@@ -28,6 +32,17 @@ def test_stretched_exp_recovers_sublinear_stretch():
 
 def test_sinusoid_exact_recovery_on_noiseless_data():
     x = np.linspace(0.0, 0.15, 64)
+    truth = (0.012, 1.0 / 0.0670, 0.4, 0.002)
+    result = fit_sinusoid(x, sinusoid_model(x, truth))
+    assert result.converged
+    np.testing.assert_allclose(result.params, truth, rtol=1e-6)
+
+
+def test_sinusoid_exact_recovery_on_jittered_samples():
+    # the frequency seed ranks k / span(x) by the projected cost, which needs
+    # no uniform grid
+    rng = rng_stream(15, "jittered-x")
+    x = np.sort(np.linspace(0.0, 0.15, 64) + 0.8e-3 * rng.uniform(-1.0, 1.0, 64))
     truth = (0.012, 1.0 / 0.0670, 0.4, 0.002)
     result = fit_sinusoid(x, sinusoid_model(x, truth))
     assert result.converged
@@ -58,6 +73,43 @@ def test_power_function_recovers_growing_power_law():
     truth = (3.44e-3 / 3700.0 ** 2, -2.0, 0.0)  # negative b means growth
     result = fit_power_function(x, power_function_model(x, truth))
     assert -result.params[1] == pytest.approx(2.0, abs=1e-6)
+
+
+def test_field_power_law_sits_at_the_profile_optimum():
+    # the golden field sweep's T1 values; with a and c solved exactly, the
+    # cost is a function of b alone, minimized here with 40 digits
+    path = Path(__file__).parent / "golden/nuclear_t1_field_sweep/nuclear_t1_field_sweep_fits.csv"
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    fields = [row["field_gauss"] for row in rows]
+    t1 = [row["t1_fit_s"] for row in rows]
+    result = fit_power_function(np.array(fields, dtype=float), np.array(t1, dtype=float))
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(v) for v in fields]
+        y = [mpmath.mpf(v) for v in t1]
+        y_dev = [v - sum(y) / len(y) for v in y]
+
+        def cost(b):
+            u = [v ** -b for v in x]
+            u_dev = [v - sum(u) / len(u) for v in u]
+            a = mpmath.fsum(p * q for p, q in zip(u_dev, y_dev)) / mpmath.fsum(p * p for p in u_dev)
+            return mpmath.fsum((q - a * p) ** 2 for p, q in zip(u_dev, y_dev))
+
+        optimum = mpmath.findroot(lambda b: mpmath.diff(cost, b), mpmath.mpf(result.params[1]))
+        distance = float(abs(result.params[1] - optimum) / result.uncertainties[1])
+    assert distance < 1e-6
+
+
+@pytest.mark.parametrize("low, high", [(500.0, 540.0), (3000.0, 3400.0)])
+def test_narrow_field_sweeps_find_the_exponent(tmp_path, low, high):
+    # over an 8% or 13% span, a and c are nearly degenerate, but the profile
+    # cost still has its minimum near the configured exponent
+    config = default_config("nuclear_t1_field_sweep", seed=0,
+                            fields=list(np.linspace(low, high, 5)))
+    run_scenario(config, out_dir=tmp_path)
+    doc = json.loads((tmp_path / "nuclear_t1_field_power_law.json").read_text(encoding="utf-8"))
+    assert doc["fit"]["converged"]
+    assert doc["field_exponent"] == pytest.approx(2.0, abs=0.15)
 
 
 def test_power_function_monte_carlo_bias_is_small():

@@ -16,10 +16,11 @@ change in floating-point evaluation order and nothing more:
 To regenerate the references after an intended change of output, run from the
 repository root
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [scenario ...]
 
-then review the diff under ``tests/golden/`` and record the change, with its
-measured drift, in CHANGES.md.
+which rewrites the named scenarios only, or every scenario when none is
+named; then review the diff under ``tests/golden/`` and record the change,
+with its measured drift, in CHANGES.md.
 
 At the same sizes and seed, every table written with ``format: json`` must
 hold the same columns, rows and values as its CSV twin.
@@ -229,9 +230,13 @@ def test_json_tables_match_their_csv_twins(scenario, tmp_path):
                 _assert_cell_matches(cell, row[name], f"{csv_path.stem}:{name}[{i}]")
 
 
-def regenerate():
-    """Rewrite every reference from the current code."""
-    for scenario in sorted(SIZES):
+def regenerate(scenarios=()):
+    """Rewrite the named scenarios' references (all of them if none are
+    named) from the current code."""
+    unknown = set(scenarios) - set(SIZES)
+    if unknown:
+        raise SystemExit(f"unknown scenarios: {sorted(unknown)}")
+    for scenario in sorted(scenarios or SIZES):
         ref_dir = GOLDEN_DIR / scenario
         shutil.rmtree(ref_dir, ignore_errors=True)
         ref_dir.mkdir(parents=True)
@@ -247,4 +252,4 @@ def regenerate():
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])
