@@ -6,9 +6,9 @@ from . import errors
 from .params import PhysicalConstants, SensorEnsembleParams
 from .state import (QuantumState, apply_cnot_e_given_n, apply_cnot_n_given_e,
                     apply_optical_pulse, apply_sensing_phase, apply_swap,
-                    from_populations, initial_state, readout_fluorescence)
+                    from_populations, initial_state)
 from .sequences import (ACSignal, PulseSequence, TogglingFunction, accumulated_phase,
-                        b_ac_two_pi, build_droid60, build_hahn, build_xy8,
+                        b_ac_two_pi, build_droid60, build_xy8,
                         resonant_aligned_tone, toggling_function)
 from .noise import (ElectronCoherenceModel, NuclearT1Model, decoherence_factor,
                     electron_t2, nuclear_t1_vs_field, nuclear_t1_vs_laser,

@@ -19,7 +19,7 @@ def _add_common_flags(parser):
     parser.add_argument("--out-dir", default=None,
                         help=f"output directory (default: config, then ${DEFAULT_OUT_DIR_ENV})")
     parser.add_argument("--threads", type=int, default=1,
-                        help="parallel workers for independent sweep points")
+                        help="accepted for compatibility; every run is serial (at least 1)")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="table output format (default: config, csv)")
 

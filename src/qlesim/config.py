@@ -28,7 +28,6 @@ _UNITS = {
               "g": 1e-4, "gauss": 1e-4},
     "gauss": {"g": 1.0, "gauss": 1.0, "t": 1e4, "mt": 10.0, "ut": 1e-2},
     "milliwatt": {"mw": 1.0, "w": 1e3, "uw": 1e-3},
-    "volt": {"v": 1.0, "mv": 1e-3},
 }
 
 _QUANTITY_RE = re.compile(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .sequences import DROID60, HAHN, XY8
+from .sequences import DROID60, XY8
 
 
 def _lifetime(name, evaluate):
@@ -119,8 +119,6 @@ def electron_t2(model: ElectronCoherenceModel, family: str, n_pulses: int) -> fl
     """Electron coherence time for a decoupling family at a pi-pulse budget."""
     if n_pulses < 1:
         raise DomainError("n_pulses must be at least 1")
-    if family == HAHN:
-        return model.t2_hahn
     scaled = _lifetime(f"electron T2 at {n_pulses} pulses",
                        lambda: model.t2_hahn * n_pulses ** model.scaling_exponent)
     if family == XY8:

@@ -2,8 +2,8 @@
 
 Streams are counter-based Philox generators keyed by a hash of
 (master seed, labels).  A given (seed, labels) pair always maps to the same
-stream regardless of creation order or worker scheduling, so adding sweep
-points or trials never perturbs existing ones.
+stream regardless of creation order, so adding sweep points or trials never
+perturbs existing ones.
 """
 
 import hashlib

@@ -2,8 +2,7 @@
 
 Each scenario composes the state, sequence, noise and analysis modules into a
 desk-scale version of one experiment, writes tidy long-format tables plus a
-JSON manifest, and is bit-reproducible for a fixed (config, seed) regardless
-of the worker count.
+JSON manifest, and is bit-reproducible for a fixed (config, seed).
 """
 
 import hashlib
@@ -12,7 +11,6 @@ import math
 import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -27,8 +25,8 @@ from .noise import (decoherence_factor, electron_t2, nuclear_t1_vs_field,
                     nuclear_t1_vs_laser, project_t2_for_density)
 from .output import emit_csv, emit_json_table, file_sha256, write_json, write_json_atomic
 from .rng import rng_stream
-from .sequences import (ACSignal, DROID60, XY8, accumulated_phase, build_droid60,
-                        build_xy8, toggling_function)
+from .sequences import (ACSignal, DROID60, FAMILIES, XY8, accumulated_phase, build_xy8,
+                        toggling_function)
 from .state import (ELECTRON_EXCESS, INITIAL_POPULATIONS, apply_swap,
                     cnot_e_given_n_map, initial_state, optical_map, sensing_map,
                     swap_map)
@@ -97,17 +95,9 @@ def _configured(model, *args):
         raise ConfigError(str(exc)) from exc
 
 
-def _map_indexed(fn, items, threads):
-    """Order-stable map over (index, item); parallel when threads > 1."""
-    if threads <= 1:
-        return [fn(i, item) for i, item in enumerate(items)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(len(items)), items))
-
-
 # ----------------------------------------------------------------- scenarios
 
-def _run_odmr_swap(config, writer, threads):
+def _run_odmr_swap(config, writer):
     """ODMR spectra of both hyperfine lines, with and without the memory swap."""
     sensor = config.sensor
     opts = config.options
@@ -161,7 +151,7 @@ def _decay_curve(config, t1, durations, rng, averages):
     return means[:-1] - means[-1] + noise * rng.standard_normal(len(durations))
 
 
-def _run_t1_sweep(config, writer, threads, axis_option, axis_name, t1_of):
+def _run_t1_sweep(config, writer, axis_option, axis_name, t1_of):
     opts = config.options
     n_durations = opts["n_durations"]
     span = opts["duration_span_t1"]
@@ -178,7 +168,8 @@ def _run_t1_sweep(config, writer, threads, axis_option, axis_name, t1_of):
                 fit.params[2], fit.uncertainties[2], fit.iterations)
 
     axis_values = opts[axis_option]
-    durations, contrasts, *fit_values = zip(*_map_indexed(one_point, axis_values, threads))
+    points = [one_point(i, value) for i, value in enumerate(axis_values)]
+    durations, contrasts, *fit_values = zip(*points)
     writer.table(f"{config.scenario}_curves", {
         axis_name: np.repeat(axis_values, n_durations),
         "duration_s": np.concatenate(durations),
@@ -208,11 +199,11 @@ def _determined(fit, x, y, what):
     return result
 
 
-def _run_nuclear_t1_field_sweep(config, writer, threads):
+def _run_nuclear_t1_field_sweep(config, writer):
     """Nuclear-memory T1 versus bias field, with a power-law fit of the exponent."""
     fields = config.options["fields"]
     fit_cols = _run_t1_sweep(
-        config, writer, threads, "fields", "field_gauss",
+        config, writer, "fields", "field_gauss",
         lambda b: nuclear_t1_vs_field(config.nuclear_t1, b))
     power_fit = _determined(fit_power_function, fields, fit_cols["t1_fit_s"],
                             "the T1 values over options.fields")
@@ -227,11 +218,11 @@ def _run_nuclear_t1_field_sweep(config, writer, threads):
             "configured_exponent": config.nuclear_t1.field_exponent}
 
 
-def _run_nuclear_t1_laser_sweep(config, writer, threads):
+def _run_nuclear_t1_laser_sweep(config, writer):
     """Nuclear-memory T1 versus laser power, with a power-function fit."""
     powers = config.options["powers"]
     fit_cols = _run_t1_sweep(
-        config, writer, threads, "powers", "power_mw",
+        config, writer, "powers", "power_mw",
         lambda p: nuclear_t1_vs_laser(config.nuclear_t1, p))
     # fit on the native us/mW scale of the power-function parameters
     power_fit = _determined(fit_power_function, powers,
@@ -249,7 +240,7 @@ def _run_nuclear_t1_laser_sweep(config, writer, threads):
     return {"laser_b_fit": b, "configured_b": config.nuclear_t1.laser_b}
 
 
-def _run_qle_snr_vs_n(config, writer, threads):
+def _run_qle_snr_vs_n(config, writer):
     """Optimal SNR and QLE enhancement versus the number of readouts."""
     sensor = config.sensor
     opts = config.options
@@ -315,7 +306,7 @@ def _qle_trace(config, excess, t1, rng):
     return excess * (cycle_amplitude @ weights) / total + sigma * noise / total
 
 
-def _run_correlation_threetone(config, writer, threads):
+def _run_correlation_threetone(config, writer):
     """Correlation spectroscopy of a three-tone AC field with QLE readout."""
     sensor = config.sensor
     opts = config.options
@@ -366,10 +357,7 @@ def _run_correlation_threetone(config, writer, threads):
     }
 
 
-_FAMILY_BUILDERS = {XY8: build_xy8, DROID60: build_droid60}
-
-
-def _run_sensitivity_vs_duration(config, writer, threads):
+def _run_sensitivity_vs_duration(config, writer):
     """AC sensitivity versus sensing duration for XY8 and DROID60 blocks."""
     sensor = config.sensor
     opts = config.options
@@ -377,7 +365,7 @@ def _run_sensitivity_vs_duration(config, writer, threads):
     f0 = 1.0 / (2.0 * tau)
 
     def row(family, repetitions):
-        seq = _FAMILY_BUILDERS[family](repetitions, tau)
+        seq = FAMILIES[family](repetitions, tau)
         n, t_sense = seq.pi_pulse_count, seq.total_duration
         coherence = _configured(decoherence_factor, config.electron_t2, family, n, t_sense)
         # contrast slope at the zero crossing of the fringe
@@ -398,7 +386,7 @@ def _run_sensitivity_vs_duration(config, writer, threads):
     return {"optimal": best}
 
 
-def _run_eta_map(config, writer, threads):
+def _run_eta_map(config, writer):
     """QLE efficiency eta over readout count and sensing duration."""
     sensor = config.sensor
     opts = config.options
@@ -419,7 +407,7 @@ def _run_eta_map(config, writer, threads):
             "t1_s": t1}
 
 
-def _run_density_projection(config, writer, threads):
+def _run_density_projection(config, writer):
     """Electron T2 and the optimal XY8 window projected to other N densities."""
     t2 = config.electron_t2
     opts = config.options
@@ -459,7 +447,8 @@ class Option:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A scenario's runner and option schema; the runner's docstring is its help."""
+    """A scenario's runner, ``run(config, writer)`` returning the manifest
+    extras, and its option schema; the runner's docstring is its help."""
 
     run: Callable
     options: dict
@@ -505,7 +494,7 @@ SCENARIOS = {
         "tau": Option("time", 0.5e-6),
         "max_repetitions": Option("int", 12, 1),
         "families": Option("str", (XY8, DROID60), min_len=1,
-                           choices=tuple(_FAMILY_BUILDERS)),
+                           choices=tuple(FAMILIES)),
     }),
     "eta_map": Scenario(_run_eta_map, {
         "n_min": Option("int", 1, 1),
@@ -526,10 +515,11 @@ SCENARIOS = {
 def run_scenario(config, out_dir=None, threads: int = 1) -> RunManifest:
     """Execute a configured scenario, write its outputs, and return the manifest.
 
-    Output data files are bit-identical for identical (config, seed), whatever
-    the worker count; partial outputs are removed if the run fails.  The
-    manifest is written atomically after all outputs and records their hashes
-    (its own wall-clock field varies run to run by nature).
+    Output data files are bit-identical for identical (config, seed); partial
+    outputs are removed if the run fails.  The manifest is written atomically
+    after all outputs and records their hashes (its own wall-clock field
+    varies run to run by nature).  Every run is serial: ``threads`` is
+    accepted for compatibility and must be at least 1.
     """
     start = time.perf_counter()
     if config.scenario not in SCENARIOS:
@@ -542,7 +532,7 @@ def run_scenario(config, out_dir=None, threads: int = 1) -> RunManifest:
     target.mkdir(parents=True, exist_ok=True)
     writer = _OutputWriter(target, config.file_format)
     try:
-        extras = SCENARIOS[config.scenario].run(config, writer, threads)
+        extras = SCENARIOS[config.scenario].run(config, writer)
     except BaseException:
         writer.cleanup()
         raise

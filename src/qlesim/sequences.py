@@ -18,8 +18,6 @@ from .params import PhysicalConstants
 # sequence families
 XY8 = "XY8"
 DROID60 = "DROID60"
-HAHN = "HAHN"
-FAMILIES = (XY8, DROID60, HAHN)
 
 
 @dataclass(frozen=True)
@@ -107,11 +105,6 @@ def build_xy8(repetitions: int, tau: float) -> PulseSequence:
     return PulseSequence(XY8, 8 * repetitions, tau)
 
 
-def build_hahn(tau: float) -> PulseSequence:
-    """Hahn echo: pi/2 - tau/2 - pi - tau/2 - pi/2."""
-    return PulseSequence(HAHN, 1, tau)
-
-
 def build_droid60(repetitions: int, tau: float) -> PulseSequence:
     """Interaction-decoupling block reduced to its toggling skeleton.
 
@@ -123,6 +116,10 @@ def build_droid60(repetitions: int, tau: float) -> PulseSequence:
     if repetitions < 1:
         raise DomainError("repetitions must be at least 1")
     return PulseSequence(DROID60, 48 * repetitions, tau)
+
+
+# every family a PulseSequence accepts, with the builder of its repeated block
+FAMILIES = {XY8: build_xy8, DROID60: build_droid60}
 
 
 def toggling_function(seq: PulseSequence) -> TogglingFunction:

@@ -16,15 +16,14 @@ matrix checked for Hermiticity, unit trace and positivity on construction.
 The ``apply_*`` functions take and return ``QuantumState``s.  The optical
 pulse and the sensing block are thin wrappers over their maps; the CNOTs and
 the swap stay at the density-matrix level, because they keep coherences.
-Inputs are never mutated, so independent states can be evolved on parallel
-workers.
+Inputs are never mutated.
 """
 
 import math
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InvalidStateError
+from .errors import DomainError, InvalidStateError
 from .noise import stretched_exp
 from .params import SensorEnsembleParams
 
@@ -221,18 +220,3 @@ def apply_sensing_phase(state, phi: float, decoherence_factor: float) -> Quantum
         raise DomainError("decoherence_factor must lie in [0, 1]")
     block = sensing_map(math.cos(phi) * decoherence_factor)
     return from_populations(block @ state.populations())
-
-
-def readout_fluorescence(state, params: SensorEnsembleParams, rng, size=None):
-    """Shot-noise sample(s) of the fluorescence contrast; the state itself is
-    not modified (back-action enters through the following optical pulse).
-
-    The mean is contrast_c0 times the electron population excess; photon
-    statistics enter as Gaussian noise of width contrast_c0 /
-    sqrt(photons_per_readout).
-    """
-    state = _as_state(state)
-    if params.photons_per_readout <= 0:
-        raise ConfigError("photons_per_readout must be positive")
-    mean = params.contrast_c0 * state.electron_excess()
-    return mean + params.readout_sigma * rng.standard_normal(size)

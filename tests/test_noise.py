@@ -7,7 +7,7 @@ from qlesim import (ElectronCoherenceModel, NuclearT1Model, decoherence_factor,
                     electron_t2, nuclear_t1_vs_field, nuclear_t1_vs_laser,
                     project_t2_for_density, stretched_exp)
 from qlesim.errors import DomainError
-from qlesim.sequences import DROID60, HAHN, XY8
+from qlesim.sequences import DROID60, XY8
 
 
 def test_field_model_anchor():
@@ -84,7 +84,7 @@ def test_stretched_exp_monotone_and_validated():
 
 def test_electron_t2_families():
     model = ElectronCoherenceModel()
-    assert electron_t2(model, HAHN, 1) == pytest.approx(14.5e-6)
+    assert electron_t2(model, XY8, 1) == pytest.approx(14.5e-6)
     assert electron_t2(model, XY8, 10_000) == pytest.approx(28e-6)
     # the interaction-decoupled budget of a 6-repetition block beats the cap
     assert electron_t2(model, DROID60, 288) > 28e-6

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -161,6 +162,15 @@ def test_worker_count_does_not_change_outputs(tmp_path):
     a = run_scenario(small_sweep_config(), out_dir=tmp_path / "a", threads=1)
     b = run_scenario(small_sweep_config(), out_dir=tmp_path / "b", threads=4)
     assert file_bytes(tmp_path / "a", a) == file_bytes(tmp_path / "b", b)
+
+
+def test_a_run_starts_no_thread(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"a run started thread {self.name!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    manifest = run_scenario(small_sweep_config(), out_dir=tmp_path, threads=4)
+    assert len(manifest.files) == 3
 
 
 def test_changed_seed_changes_data_but_not_schema(tmp_path):

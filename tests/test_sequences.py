@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from qlesim import (ACSignal, PhysicalConstants, accumulated_phase, b_ac_two_pi,
-                    build_droid60, build_hahn, build_xy8, resonant_aligned_tone,
+                    build_droid60, build_xy8, resonant_aligned_tone,
                     toggling_function)
 from qlesim.errors import DomainError
-from qlesim.sequences import DROID60, HAHN, XY8, PulseSequence, TogglingFunction
+from qlesim.sequences import DROID60, XY8, PulseSequence, TogglingFunction
 
 CONSTANTS = PhysicalConstants()
 
@@ -44,12 +44,6 @@ def test_droid60_durations():
         build_droid60(0, 0.5e-6)
 
 
-def test_hahn_echo():
-    seq = build_hahn(10e-6)
-    assert seq.pi_pulse_count == 1
-    assert seq.total_duration == pytest.approx(10e-6)
-
-
 # ------------------------------------------------------- toggling function
 
 def test_toggling_switches_at_odd_half_multiples():
@@ -60,14 +54,14 @@ def test_toggling_switches_at_odd_half_multiples():
     assert (tf.window_start, tf.window_end) == (0.0, pytest.approx(8 * tau))
 
 
-def test_hahn_toggles_at_midpoint():
-    tf = toggling_function(build_hahn(10e-6))
+def test_single_pulse_toggles_at_midpoint():
+    tf = toggling_function(PulseSequence(DROID60, 1, 10e-6))
     assert len(tf.switch_times) == 1
     assert tf.switch_times[0] == pytest.approx(5e-6)
 
 
 @pytest.mark.parametrize("seq", [build_xy8(3, 0.7e-6), build_droid60(2, 0.4e-6),
-                                 build_hahn(5e-6)])
+                                 PulseSequence(DROID60, 1, 5e-6)])
 def test_switch_count_equals_pi_pulse_count(seq):
     assert len(toggling_function(seq).switch_times) == seq.pi_pulse_count
 
@@ -237,7 +231,7 @@ def test_sequence_validation():
     with pytest.raises(DomainError):
         PulseSequence("CPMG", 8, 1e-6)  # unknown family
     with pytest.raises(DomainError):
-        PulseSequence(HAHN, 0, 1e-6)
+        PulseSequence(DROID60, 0, 1e-6)
     with pytest.raises(DomainError):
         PulseSequence(XY8, 12, 1e-6)  # not a multiple of 8
     for tau in (0.0, -1e-6):

@@ -5,9 +5,8 @@ import pytest
 
 from qlesim import (QuantumState, SensorEnsembleParams, apply_cnot_e_given_n,
                     apply_cnot_n_given_e, apply_optical_pulse, apply_sensing_phase,
-                    apply_swap, from_populations, initial_state, readout_fluorescence,
-                    rng_stream)
-from qlesim.errors import ConfigError, DomainError, InvalidStateError
+                    apply_swap, from_populations, initial_state, rng_stream)
+from qlesim.errors import DomainError, InvalidStateError
 
 PARAMS = SensorEnsembleParams()
 
@@ -167,37 +166,6 @@ def test_sensing_phase_keeps_nuclear_marginal():
 def test_sensing_phase_rejects_bad_factor():
     with pytest.raises(DomainError):
         apply_sensing_phase(initial_state(), 0.1, 1.5)
-
-
-def test_readout_mean_and_zero_noise_limit():
-    quiet = SensorEnsembleParams(photons_per_readout=1e18)
-    rng = rng_stream(2, "readout")
-    sample = readout_fluorescence(initial_state(), quiet, rng)
-    assert sample == pytest.approx(quiet.contrast_c0, abs=1e-9)
-
-
-def test_readout_shot_noise_statistics():
-    params = SensorEnsembleParams(photons_per_readout=1e4)
-    rng = rng_stream(3, "readout-stats")
-    samples = readout_fluorescence(initial_state(), params, rng, size=100_000)
-    predicted_sigma = params.contrast_c0 * math.sqrt(1.0 / 1e4)
-    assert np.std(samples) == pytest.approx(predicted_sigma, rel=0.05)
-    standard_error = predicted_sigma / math.sqrt(len(samples))
-    assert abs(np.mean(samples) - params.contrast_c0) < 3 * standard_error
-
-
-def test_readout_rejects_bad_photon_budget():
-    params = SensorEnsembleParams()
-    object.__setattr__(params, "photons_per_readout", 0.0)
-    with pytest.raises(ConfigError):
-        readout_fluorescence(initial_state(), params, rng_stream(0))
-
-
-def test_readout_does_not_modify_state():
-    s = initial_state()
-    before = s.rho.copy()
-    readout_fluorescence(s, PARAMS, rng_stream(4), size=10)
-    np.testing.assert_array_equal(s.rho, before)
 
 
 def test_invariants_hold_through_random_op_sequence():
